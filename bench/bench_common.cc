@@ -9,6 +9,21 @@
 namespace frechet_motif {
 namespace bench {
 
+constexpr char kUsage[] =
+    "usage: %s [flags]  (flags a benchmark does not use are ignored)\n"
+    "  --full            paper-scale run (repeats 10, tau 32)\n"
+    "  --smoke           CI-sized sanity run\n"
+    "  --repeats=N       repetitions per point\n"
+    "  --seed=N          dataset seed (default 42)\n"
+    "  --lengths=A,B,..  trajectory lengths to sweep\n"
+    "  --xis=A,B,..      minimum motif lengths to sweep\n"
+    "  --xi=N            minimum motif length\n"
+    "  --n=N             trajectory length of the xi sweeps\n"
+    "  --tau=N           group size\n"
+    "  --threads=N       worker threads, 0 = all cores (default 1)\n"
+    "  --json[=PATH]     also write JSON results (bare: BENCH_kernels.json)\n"
+    "  --help            print this message and exit\n";
+
 BenchConfig ParseBenchConfig(int argc, char** argv,
                              const std::vector<std::int64_t>& default_lengths,
                              const std::vector<std::int64_t>& default_xis,
@@ -18,6 +33,10 @@ BenchConfig ParseBenchConfig(int argc, char** argv,
   if (!s.ok()) {
     std::fprintf(stderr, "flag error: %s\n", s.ToString().c_str());
     std::exit(2);
+  }
+  if (flags.Has("help")) {
+    std::printf(kUsage, argc > 0 ? argv[0] : "bench");
+    std::exit(0);
   }
   BenchConfig config;
   config.full = flags.GetBool("full", false);

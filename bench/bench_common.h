@@ -45,7 +45,8 @@ struct BenchConfig {
 /// Parses flags (--full, --smoke, --repeats=, --seed=, --lengths=, --xis=,
 /// --xi=, --n=, --tau=, --threads=, --json[=path]) and fills defaults
 /// appropriate for the given bench. Exits the process with a message on
-/// malformed flags.
+/// malformed flags; `--help` prints the flags and exits 0 before any
+/// work.
 BenchConfig ParseBenchConfig(int argc, char** argv,
                              const std::vector<std::int64_t>& default_lengths,
                              const std::vector<std::int64_t>& default_xis,

@@ -1,7 +1,7 @@
 // Microbenchmarks for the computational kernels the paper's complexity
 // analysis is built on: the haversine ground distance, the dG matrix build,
-// the O(l^2) DFD dynamic program (generic virtual-dispatch baseline vs the
-// monomorphized matrix path vs the threshold early-exit path), the
+// the O(l^2) DFD dynamic program (matrix path at the dispatched SIMD level
+// and pinned to scalar, with and without the threshold early exit), the
 // relaxed-bound precomputation pass, the group-envelope construction and
 // the end-to-end BTM search (serial and thread-pooled).
 //
@@ -11,7 +11,6 @@
 // docs/PERFORMANCE.md for the schema); --smoke shrinks everything to a
 // CI-sized sanity run. --threads=N sizes the pooled kernels.
 
-#include <cinttypes>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -96,12 +95,11 @@ std::vector<KernelResult> RunAll(const BenchConfig& config) {
     g_sink += DistanceMatrix::Build(t, Haversine()).value().Distance(1, 2);
   }));
 
-  // -- The DFD kernel: baseline vs monomorphized vs early-exit --------
+  // -- The DFD kernel: per SIMD level, with and without early exit ----
   // Each matrix-path row carries the SIMD level it dispatched to
   // (0=scalar 1=sse2 2=avx2 3=avx512) so the committed JSON records what
   // the numbers mean; *_scalar rows pin the level to 0 via the
-  // programmatic cap, isolating the vectorization speedup from the
-  // monomorphization one.
+  // programmatic cap, isolating the vectorization speedup.
   const double simd_level = static_cast<double>(ActiveSimdLevel());
   const std::vector<Index> range_lengths =
       config.smoke ? std::vector<Index>{32, 64}
@@ -112,13 +110,6 @@ std::vector<KernelResult> RunAll(const BenchConfig& config) {
     const auto range_exact =
         DiscreteFrechetOnRange(dg, i0, i0 + len - 1, j0, j0 + len - 1)
             .value();
-    results.push_back(
-        Measure("dfd_on_range_generic", len, 1, budget, [&] {
-          g_sink += DiscreteFrechetOnRangeGeneric(
-                        dg, i0, i0 + len - 1, j0, j0 + len - 1,
-                        kNoFrechetThreshold, &scratch)
-                        .value();
-        }));
     results.push_back(Measure("dfd_on_range_matrix", len, 1, budget, [&] {
       g_sink += DiscreteFrechetOnRange(dg, i0, i0 + len - 1, j0,
                                        j0 + len - 1, kNoFrechetThreshold,
@@ -171,18 +162,18 @@ std::vector<KernelResult> RunAll(const BenchConfig& config) {
   MotifOptions motif;
   motif.min_length_xi = config.smoke ? 10 : 30;
   results.push_back(Measure("relaxed_bounds_build", n, 1, budget, [&] {
-    g_sink += RelaxedBounds::Build(dg, motif).Rmin(1);
+    g_sink += RelaxedBounds::Build(dg.View(), motif).Rmin(1);
   }));
   if (threads > 1) {
     ThreadPool pool(threads);
     results.push_back(
         Measure("relaxed_bounds_build", n, threads, budget, [&] {
-          g_sink += RelaxedBounds::Build(dg, motif, &pool).Rmin(1);
+          g_sink += RelaxedBounds::Build(dg.View(), motif, &pool).Rmin(1);
         }));
   }
   results.push_back(Measure("grouping_build", n, 1, budget, [&] {
     g_sink += static_cast<double>(
-        Grouping::Build(dg, motif, static_cast<Index>(config.tau))
+        Grouping::Build(dg.View(), motif, static_cast<Index>(config.tau))
             .num_row_groups());
   }));
 
@@ -260,28 +251,13 @@ int Main(int argc, char** argv) {
   const BenchConfig config =
       bench::ParseBenchConfig(argc, argv, {}, {}, 0, 0);
   bench::PrintHeader("micro-kernels",
-                     "per-kernel ns/op (devirtualized DP fast path vs "
-                     "virtual-dispatch baseline)",
+                     "per-kernel ns/op (DFD matrix path per SIMD level, "
+                     "bounds, grouping, BTM)",
                      config);
 
   const std::vector<KernelResult> results = RunAll(config);
 
-  // Headline ratios: the monomorphized matrix path against the PR-1-era
-  // virtual-dispatch kernel, per measured size.
-  std::printf("\n");
-  for (const KernelResult& g : results) {
-    if (g.name != "dfd_on_range_generic") continue;
-    for (const KernelResult& m : results) {
-      if (m.name == "dfd_on_range_matrix" && m.n == g.n &&
-          m.ns_per_op > 0.0) {
-        std::printf(
-            "dfd_on_range speedup (matrix vs generic), n=%-4" PRId64
-            ": %.2fx\n",
-            g.n, g.ns_per_op / m.ns_per_op);
-      }
-    }
-  }
-  std::printf("(sink %g)\n", g_sink);
+  std::printf("\n(sink %g)\n", g_sink);
 
   if (!config.json_path.empty() &&
       !bench::WriteKernelJson(config.json_path, "bench_micro_kernels", config,

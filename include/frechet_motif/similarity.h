@@ -9,7 +9,7 @@
 /// library:
 ///  * `DiscreteFrechet()` — exact DFD between two trajectories;
 ///  * `DiscreteFrechetOnRange()` — DFD of a subtrajectory pair over a
-///    ground-distance provider, with the threshold early-exit contract the
+///    ground-distance matrix, with the threshold early-exit contract the
 ///    motif search builds on;
 ///  * `DiscreteFrechetAtMost()` — the decision kernel ("is DFD ≤ θ?") the
 ///    similarity join and clustering use;

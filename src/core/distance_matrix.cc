@@ -185,11 +185,16 @@ void RingDistanceMatrix::AppendPointFromBuffers(const double* new_to_k,
   *Cell(k_new, k_new) = self_distance;
 }
 
-CachedHaversineDistance::CachedHaversineDistance(const Trajectory& s,
-                                                 const Trajectory& t)
-    : rows_vec_(VectorizePoints(s)), cols_vec_(VectorizePoints(t)) {}
-
-CachedHaversineDistance::CachedHaversineDistance(const Trajectory& s)
-    : rows_vec_(VectorizePoints(s)), cols_vec_(rows_vec_) {}
+PointDistances::PointDistances(const Trajectory& s, const Trajectory& t,
+                               const GroundMetric& metric)
+    : s_(s),
+      t_(t),
+      metric_(metric),
+      cached_(dynamic_cast<const HaversineMetric*>(&metric) != nullptr) {
+  if (cached_) {
+    rows_vec_ = VectorizePoints(s);
+    cols_vec_ = VectorizePoints(t);
+  }
+}
 
 }  // namespace frechet_motif

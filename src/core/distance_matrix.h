@@ -12,35 +12,60 @@
 
 namespace frechet_motif {
 
-/// Read access to the ground-distance matrix dG[i][j] between point i of a
-/// "row" trajectory and point j of a "column" trajectory.
+/// Read-only view of a ground-distance matrix dG[i][j] between point i of
+/// a "row" trajectory and point j of a "column" trajectory (for the
+/// single-trajectory motif problem both roles are played by the same
+/// trajectory). The paper reads one precomputed dG in BruteDP, BTM and GTM;
+/// this is how the search kernels read it.
 ///
-/// For the single-trajectory motif problem both roles are played by the same
-/// trajectory; for the two-trajectory variant they differ. Algorithms are
-/// written against this interface so that the precomputed matrix (BruteDP,
-/// BTM, GTM — the paper's O(n^2)-space design) and the on-the-fly evaluation
-/// (GTM*, Idea (i) of Section 5.5) are interchangeable.
-class DistanceProvider {
+/// The view is trivially copyable and does not own its storage. It covers
+/// both materialized layouts: a DistanceMatrix (heads 0, capacities equal
+/// to the dimensions) and the sliding-window RingDistanceMatrix, whose
+/// logical index (i, j) lives at physical slot
+/// ((i + row_head) mod row_capacity, (j + col_head) mod col_capacity) of a
+/// row-major buffer with stride col_capacity. The wrap is one compare per
+/// axis, no modulo; with zero heads it never fires.
+class MatrixView {
  public:
-  virtual ~DistanceProvider() = default;
+  MatrixView(const double* data, Index rows, Index cols, Index row_head,
+             Index col_head, Index row_capacity, Index col_capacity)
+      : data_(data),
+        rows_(rows),
+        cols_(cols),
+        row_head_(row_head),
+        col_head_(col_head),
+        row_capacity_(row_capacity),
+        col_capacity_(col_capacity) {}
 
   /// dG between row point i and column point j.
-  virtual double Distance(Index i, Index j) const = 0;
+  double Distance(Index i, Index j) const {
+    Index r = row_head_ + i;
+    if (r >= row_capacity_) r -= row_capacity_;
+    Index c = col_head_ + j;
+    if (c >= col_capacity_) c -= col_capacity_;
+    return data_[static_cast<std::size_t>(r) * col_capacity_ + c];
+  }
 
   /// Number of row points (n).
-  virtual Index rows() const = 0;
+  Index rows() const { return rows_; }
 
   /// Number of column points (m; equals rows() for the single-trajectory
   /// problem).
-  virtual Index cols() const = 0;
+  Index cols() const { return cols_; }
 
-  /// Bytes of memory retained by this provider (for Figure 19 accounting).
-  virtual std::size_t MemoryBytes() const = 0;
+ private:
+  const double* data_;
+  Index rows_;
+  Index cols_;
+  Index row_head_;
+  Index col_head_;
+  Index row_capacity_;
+  Index col_capacity_;
 };
 
 /// Fully materialized dG matrix — the paper's "precompute all pairs of
 /// ground distances and store them in matrix dG[·][·]" optimization.
-class DistanceMatrix final : public DistanceProvider {
+class DistanceMatrix {
  public:
   /// Precomputes dG over all pairs of `s` (rows) and `t` (columns) points.
   /// Returns InvalidArgument when either trajectory is empty.
@@ -59,21 +84,28 @@ class DistanceMatrix final : public DistanceProvider {
   static StatusOr<DistanceMatrix> FromValues(Index rows, Index cols,
                                              std::vector<double> values);
 
-  double Distance(Index i, Index j) const override {
+  double Distance(Index i, Index j) const {
     return values_[static_cast<std::size_t>(i) * cols_ + j];
   }
 
   /// Contiguous row-major span of row i: Row(i)[j] == Distance(i, j) for
-  /// j in [0, cols()). This is the devirtualized access path the
-  /// monomorphized DFD kernels walk with plain pointer arithmetic.
+  /// j in [0, cols()). The DFD kernels walk it with plain pointer
+  /// arithmetic.
   const double* Row(Index i) const {
     return values_.data() + static_cast<std::size_t>(i) * cols_;
   }
 
-  Index rows() const override { return rows_; }
-  Index cols() const override { return cols_; }
-  std::size_t MemoryBytes() const override {
+  Index rows() const { return rows_; }
+  Index cols() const { return cols_; }
+
+  /// Bytes of memory retained by the matrix (for Figure 19 accounting).
+  std::size_t MemoryBytes() const {
     return values_.capacity() * sizeof(double);
+  }
+
+  /// The view the search kernels read (heads 0, no wrap).
+  MatrixView View() const {
+    return MatrixView(values_.data(), rows_, cols_, 0, 0, rows_, cols_);
   }
 
  private:
@@ -85,32 +117,6 @@ class DistanceMatrix final : public DistanceProvider {
   std::vector<double> values_;
 };
 
-/// Computes ground distances on demand from the trajectories — O(1) memory,
-/// one metric evaluation per access. This is GTM*'s Idea (i).
-class OnTheFlyDistance final : public DistanceProvider {
- public:
-  /// Both trajectories must outlive this provider.
-  OnTheFlyDistance(const Trajectory& s, const Trajectory& t,
-                   const GroundMetric& metric)
-      : s_(s), t_(t), metric_(metric) {}
-
-  /// Single-trajectory form.
-  OnTheFlyDistance(const Trajectory& s, const GroundMetric& metric)
-      : s_(s), t_(s), metric_(metric) {}
-
-  double Distance(Index i, Index j) const override {
-    return metric_.Distance(s_[i], t_[j]);
-  }
-  Index rows() const override { return s_.size(); }
-  Index cols() const override { return t_.size(); }
-  std::size_t MemoryBytes() const override { return 0; }
-
- private:
-  const Trajectory& s_;
-  const Trajectory& t_;
-  const GroundMetric& metric_;
-};
-
 /// Bounded sliding-window ground-distance matrix whose storage is reused
 /// as a ring buffer: appending a point writes one fresh row (and, for the
 /// self-matrix of the single-trajectory problem, one column) of ground
@@ -118,31 +124,33 @@ class OnTheFlyDistance final : public DistanceProvider {
 /// surviving cells are never recomputed and the buffer is never
 /// reallocated. Logical index (i, j) maps to physical slot
 /// ((i + row_head) mod row_capacity, (j + col_head) mod col_capacity), so
-/// algorithms see an ordinary DistanceProvider over the current window.
+/// algorithms see an ordinary MatrixView (View()) over the current window.
 ///
 /// This is the incremental-matrix API behind StreamingMotifMonitor
 /// (src/stream/): a window slide costs O(s·W) metric evaluations instead
 /// of the O(W²) a from-scratch DistanceMatrix::Build pays. Cells are
 /// bit-identical to Build's because the caller computes them with the
 /// same metric on the same points — so every motif algorithm returns
-/// identical results over either provider.
-///
-/// EvaluateSubset (motif/subset_search.cc) recognizes this provider and
-/// runs its DP monomorphized over the ring layout, like it does for
-/// DistanceMatrix.
-class RingDistanceMatrix final : public DistanceProvider {
+/// identical results over either matrix.
+class RingDistanceMatrix {
  public:
   /// A fixed-capacity rows x cols buffer; both capacities must be >= 1.
   RingDistanceMatrix(Index row_capacity, Index col_capacity);
 
-  double Distance(Index i, Index j) const override {
+  double Distance(Index i, Index j) const {
     return values_[static_cast<std::size_t>(PhysicalRow(i)) * col_capacity_ +
                    PhysicalCol(j)];
   }
-  Index rows() const override { return row_size_; }
-  Index cols() const override { return col_size_; }
-  std::size_t MemoryBytes() const override {
+  Index rows() const { return row_size_; }
+  Index cols() const { return col_size_; }
+  std::size_t MemoryBytes() const {
     return values_.capacity() * sizeof(double);
+  }
+
+  /// The current window as a MatrixView; valid until the next append.
+  MatrixView View() const {
+    return MatrixView(values_.data(), row_size_, col_size_, row_head_,
+                      col_head_, row_capacity_, col_capacity_);
   }
 
   Index row_capacity() const { return row_capacity_; }
@@ -184,14 +192,6 @@ class RingDistanceMatrix final : public DistanceProvider {
   void AppendPointFromBuffers(const double* new_to_k, const double* k_to_new,
                               double self_distance);
 
-  /// Raw layout accessors for monomorphized kernels (subset_search) and
-  /// incremental bound maintenance: cell (i, j) lives at
-  /// data()[phys(i, row_head, row_capacity) * col_capacity +
-  ///        phys(j, col_head, col_capacity)].
-  const double* data() const { return values_.data(); }
-  Index row_head() const { return row_head_; }
-  Index col_head() const { return col_head_; }
-
  private:
   Index PhysicalRow(Index i) const {
     const Index p = row_head_ + i;
@@ -221,30 +221,42 @@ class RingDistanceMatrix final : public DistanceProvider {
   std::vector<double> values_;
 };
 
-/// On-the-fly great-circle distances with O(n+m) cached unit vectors: each
-/// point's sphere vector is precomputed once, so a distance evaluation
-/// costs one sqrt + asin instead of six trigonometric calls. Results are
-/// bit-identical to HaversineMetric (GreatCircleDistanceMeters is defined
-/// as exactly this computation), so GTM* over this provider returns the
-/// same distances as the matrix-based algorithms.
-class CachedHaversineDistance final : public DistanceProvider {
+/// Ground distances computed on demand from the trajectories, with no dG
+/// matrix — GTM*'s Idea (i). Under HaversineMetric each point's unit
+/// sphere vector is cached once (O(n+m) memory), so an evaluation costs
+/// one sqrt + asin instead of six trigonometric calls and is bit-identical
+/// to HaversineMetric (GreatCircleDistanceMeters is defined as exactly
+/// this computation). Any other metric is called per access with O(1)
+/// memory. Either way GTM* over these distances returns the same answer
+/// as the matrix-based algorithms.
+class PointDistances {
  public:
-  /// Both trajectories must outlive this provider.
-  CachedHaversineDistance(const Trajectory& s, const Trajectory& t);
+  /// The trajectories and the metric must outlive this object.
+  PointDistances(const Trajectory& s, const Trajectory& t,
+                 const GroundMetric& metric);
 
   /// Single-trajectory form.
-  explicit CachedHaversineDistance(const Trajectory& s);
+  PointDistances(const Trajectory& s, const GroundMetric& metric)
+      : PointDistances(s, s, metric) {}
 
-  double Distance(Index i, Index j) const override {
-    return SphereVecDistanceMeters(rows_vec_[i], cols_vec_[j]);
+  /// dG between row point i and column point j.
+  double Distance(Index i, Index j) const {
+    if (cached_) return SphereVecDistanceMeters(rows_vec_[i], cols_vec_[j]);
+    return metric_.Distance(s_[i], t_[j]);
   }
-  Index rows() const override { return static_cast<Index>(rows_vec_.size()); }
-  Index cols() const override { return static_cast<Index>(cols_vec_.size()); }
-  std::size_t MemoryBytes() const override {
+  Index rows() const { return s_.size(); }
+  Index cols() const { return t_.size(); }
+
+  /// Bytes retained by the sphere-vector caches (0 for uncached metrics).
+  std::size_t MemoryBytes() const {
     return (rows_vec_.capacity() + cols_vec_.capacity()) * sizeof(SphereVec);
   }
 
  private:
+  const Trajectory& s_;
+  const Trajectory& t_;
+  const GroundMetric& metric_;
+  bool cached_;
   std::vector<SphereVec> rows_vec_;
   std::vector<SphereVec> cols_vec_;
 };

@@ -36,10 +36,11 @@ struct MotifOptions {
   /// verification batches. 1 (default) runs the canonical serial path;
   /// 0 means "all hardware threads". Results are bit-identical for every
   /// setting: work is partitioned statically and merged in a fixed order.
-  /// With threads > 1 the DistanceProvider (and its GroundMetric) must be
-  /// safe for concurrent const access — true of every provider in this
-  /// library, but a custom provider with mutable state (e.g. a memoization
-  /// cache) must synchronize internally.
+  /// With threads > 1 the ground distances are read concurrently: the
+  /// matrices are read-only during a search, and a GroundMetric used for
+  /// on-the-fly distances (GTM*) must be safe for concurrent const access
+  /// — true of every metric in this library, but a custom metric with
+  /// mutable state (e.g. a memoization cache) must synchronize internally.
   int threads = 1;
 };
 

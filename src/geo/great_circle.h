@@ -12,7 +12,7 @@ namespace frechet_motif {
 inline constexpr double kEarthRadiusMeters = 6371008.8;
 
 /// 3D unit vector on the sphere for a latitude/longitude point. Exposed so
-/// that distance providers can cache one vector per trajectory point and
+/// that on-the-fly distances can cache one vector per trajectory point and
 /// evaluate great-circle distances with no per-call trigonometry beyond a
 /// single asin — while remaining bit-identical to the uncached path.
 struct SphereVec {

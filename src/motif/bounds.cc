@@ -12,7 +12,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Largest admissible first-index (column of the dG-matrix path picture) a
 /// candidate of CS(i,j) can reach: j-1 under the single-trajectory overlap
 /// constraint ie < j, the last point otherwise.
-Index MaxFirstIndex(const DistanceProvider& dist, const MotifOptions& options,
+Index MaxFirstIndex(MatrixView dist, const MotifOptions& options,
                     Index j) {
   return options.variant == MotifVariant::kSingleTrajectory ? j - 1
                                                             : dist.rows() - 1;
@@ -20,11 +20,11 @@ Index MaxFirstIndex(const DistanceProvider& dist, const MotifOptions& options,
 
 }  // namespace
 
-double LbCell(const DistanceProvider& dist, Index i, Index j) {
+double LbCell(MatrixView dist, Index i, Index j) {
   return dist.Distance(i, j);
 }
 
-double LbRow(const DistanceProvider& dist, const MotifOptions& options,
+double LbRow(MatrixView dist, const MotifOptions& options,
              Index i, Index j) {
   // Every path from (i,j) to a candidate endpoint crosses row j+1 at some
   // first-index c in [i, ic] ⊆ [i, MaxFirstIndex].
@@ -38,7 +38,7 @@ double LbRow(const DistanceProvider& dist, const MotifOptions& options,
   return best;
 }
 
-double LbCol(const DistanceProvider& dist, const MotifOptions& options,
+double LbCol(MatrixView dist, const MotifOptions& options,
              Index i, Index j) {
   // Every path from (i,j) crosses column i+1 at some second-index r in
   // [j, je] ⊆ [j, m-1].
@@ -51,12 +51,12 @@ double LbCol(const DistanceProvider& dist, const MotifOptions& options,
   return best;
 }
 
-double LbStartCross(const DistanceProvider& dist, const MotifOptions& options,
+double LbStartCross(MatrixView dist, const MotifOptions& options,
                     Index i, Index j) {
   return std::max(LbRow(dist, options, i, j), LbCol(dist, options, i, j));
 }
 
-double LbRowBand(const DistanceProvider& dist, const MotifOptions& options,
+double LbRowBand(MatrixView dist, const MotifOptions& options,
                  Index i, Index j) {
   // Valid candidates satisfy je > j+ξ, so the path crosses each of rows
   // j+1 .. j+ξ; take the strongest of those row bounds.
@@ -69,7 +69,7 @@ double LbRowBand(const DistanceProvider& dist, const MotifOptions& options,
   return best;
 }
 
-double LbColBand(const DistanceProvider& dist, const MotifOptions& options,
+double LbColBand(MatrixView dist, const MotifOptions& options,
                  Index i, Index j) {
   const Index xi = options.min_length_xi;
   if (i + xi > dist.rows() - 1) return kInf;  // no valid candidate
@@ -80,7 +80,7 @@ double LbColBand(const DistanceProvider& dist, const MotifOptions& options,
   return best;
 }
 
-double LbEndCross(const DistanceProvider& dist, const MotifOptions& options,
+double LbEndCross(MatrixView dist, const MotifOptions& options,
                   Index i, Index j, Index ie, Index je) {
   // Candidates of CS(i,j) with ic > ie and jc > je must cross row je+1
   // (at first-index in [i, MaxFirstIndex]) and column ie+1 (at second-index

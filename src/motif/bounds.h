@@ -14,44 +14,44 @@ namespace frechet_motif {
 /// may return +infinity, which safely disqualifies it.
 ///
 /// Index convention: the first subtrajectory index (i, ie) selects the *row
-/// point* of the DistanceProvider and the second (j, je) the *column point*,
+/// point* of the ground-distance matrix and the second (j, je) the *column point*,
 /// matching dG(i, j) in the paper. The admissible ranges of the path-crossing
 /// argument depend on the problem variant (single-trajectory candidates obey
 /// ie < j), which is why the options are threaded through.
 
 /// LB_cell(i,j) = dG(i,j): the path leading to any candidate's DFD starts at
 /// cell (i, j) (Observation 2). O(1).
-double LbCell(const DistanceProvider& dist, Index i, Index j);
+double LbCell(MatrixView dist, Index i, Index j);
 
 /// LB_row(i,j) = min over admissible first-indices c of dG(c, j+1): every
 /// path out of (i,j) crosses row j+1 (Observation 3). O(n).
-double LbRow(const DistanceProvider& dist, const MotifOptions& options,
+double LbRow(MatrixView dist, const MotifOptions& options,
              Index i, Index j);
 
 /// LB_col(i,j) = min over admissible second-indices r of dG(i+1, r): every
 /// path crosses column i+1 (Observation 3). O(m).
-double LbCol(const DistanceProvider& dist, const MotifOptions& options,
+double LbCol(MatrixView dist, const MotifOptions& options,
              Index i, Index j);
 
 /// LB_cross^start(i,j) = max(LB_row, LB_col)  (Equation 4).
-double LbStartCross(const DistanceProvider& dist, const MotifOptions& options,
+double LbStartCross(MatrixView dist, const MotifOptions& options,
                     Index i, Index j);
 
 /// LB_band^row(i,j) = max over j' in [j, j+ξ-1] of LB_row(i, j'): with the
 /// minimum length constraint the path crosses each of rows j+1..j+ξ
 /// (Observation 4, Equation 5). O(ξ·n).
-double LbRowBand(const DistanceProvider& dist, const MotifOptions& options,
+double LbRowBand(MatrixView dist, const MotifOptions& options,
                  Index i, Index j);
 
 /// LB_band^col(i,j) = max over i' in [i, i+ξ-1] of LB_col(i', j)
 /// (Equation 6). O(ξ·m).
-double LbColBand(const DistanceProvider& dist, const MotifOptions& options,
+double LbColBand(MatrixView dist, const MotifOptions& options,
                  Index i, Index j);
 
 /// End-cell cross bound (Equation 9): lower-bounds dF(i, ic, j, jc) for all
 /// candidates of CS(i,j) that end strictly beyond (ie, je) in both
 /// dimensions (ic > ie and jc > je). O(n + m).
-double LbEndCross(const DistanceProvider& dist, const MotifOptions& options,
+double LbEndCross(MatrixView dist, const MotifOptions& options,
                   Index i, Index j, Index ie, Index je);
 
 }  // namespace frechet_motif

@@ -8,7 +8,7 @@
 
 namespace frechet_motif {
 
-StatusOr<MotifResult> BruteDpMotif(const DistanceProvider& dist,
+StatusOr<MotifResult> BruteDpMotif(const DistanceMatrix& dist,
                                    const MotifOptions& options,
                                    MotifStats* stats) {
   const Index n = dist.rows();
@@ -26,8 +26,9 @@ StatusOr<MotifResult> BruteDpMotif(const DistanceProvider& dist,
   if (stats != nullptr) {
     stats->memory.Add(2 * static_cast<std::size_t>(m) * sizeof(double));
   }
+  const MatrixView view = dist.View();
   ForEachValidSubset(options, n, m, [&](Index i, Index j) {
-    EvaluateSubset(dist, options, i, j, /*relaxed=*/nullptr,
+    EvaluateSubset(view, options, i, j, /*relaxed=*/nullptr,
                    /*use_end_cross=*/false, EndpointCaps{}, &state, stats,
                    &scratch);
   });
@@ -63,7 +64,7 @@ StatusOr<MotifResult> BruteDpMotif(const Trajectory& s, const Trajectory& t,
   return BruteDpMotif(dg.value(), options, stats);
 }
 
-StatusOr<MotifResult> NaiveMotif(const DistanceProvider& dist,
+StatusOr<MotifResult> NaiveMotif(const DistanceMatrix& dist,
                                  const MotifOptions& options) {
   const Index n = dist.rows();
   const Index m = dist.cols();

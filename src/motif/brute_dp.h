@@ -16,7 +16,7 @@ namespace frechet_motif {
 ///
 /// `stats` may be null. Returns InvalidArgument when the input admits no
 /// valid candidate (see ValidateMotifInput).
-StatusOr<MotifResult> BruteDpMotif(const DistanceProvider& dist,
+StatusOr<MotifResult> BruteDpMotif(const DistanceMatrix& dist,
                                    const MotifOptions& options,
                                    MotifStats* stats = nullptr);
 
@@ -37,7 +37,7 @@ StatusOr<MotifResult> BruteDpMotif(const Trajectory& s, const Trajectory& t,
 /// computes its DFD independently with DiscreteFrechetOnRange — O(n^6),
 /// usable only for tiny inputs, but sharing no code path with the
 /// algorithms under test.
-StatusOr<MotifResult> NaiveMotif(const DistanceProvider& dist,
+StatusOr<MotifResult> NaiveMotif(const DistanceMatrix& dist,
                                  const MotifOptions& options);
 
 }  // namespace frechet_motif

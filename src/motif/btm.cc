@@ -21,7 +21,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Relaxed-bound path: all bounds are O(1) after the precomputation pass,
 /// so the combined bound of every subset is computed up front, the list is
 /// sorted and handed to the shared best-first loop (Algorithm 2 verbatim).
-MotifResult RunRelaxed(const DistanceProvider& dist, const BtmOptions& options,
+MotifResult RunRelaxed(MatrixView dist, const BtmOptions& options,
                        const RelaxedBounds& rb, MotifStats* stats,
                        ThreadPool* pool) {
   const Index n = dist.rows();
@@ -90,7 +90,7 @@ MotifResult RunRelaxed(const DistanceProvider& dist, const BtmOptions& options,
 /// ordered by the O(1) cell bound and the expensive bounds are evaluated
 /// lazily, per subset, in the cascade order — each either prunes the subset
 /// or is followed by the shared DP.
-MotifResult RunTight(const DistanceProvider& dist, const BtmOptions& options,
+MotifResult RunTight(MatrixView dist, const BtmOptions& options,
                      const RelaxedBounds* rb, MotifStats* stats,
                      ThreadPool* pool) {
   const Index n = dist.rows();
@@ -165,7 +165,7 @@ MotifResult RunTight(const DistanceProvider& dist, const BtmOptions& options,
 
 }  // namespace
 
-StatusOr<MotifResult> BtmMotif(const DistanceProvider& dist,
+StatusOr<MotifResult> BtmMotif(const DistanceMatrix& dist,
                                const BtmOptions& options, MotifStats* stats) {
   const Index n = dist.rows();
   const Index m = dist.cols();
@@ -192,7 +192,7 @@ StatusOr<MotifResult> BtmMotif(const DistanceProvider& dist,
   RelaxedBounds rb;
   if (need_relaxed) {
     Timer timer;
-    rb = RelaxedBounds::Build(dist, options.motif, pool);
+    rb = RelaxedBounds::Build(dist.View(), options.motif, pool);
     if (stats != nullptr) {
       stats->memory.Add(rb.MemoryBytes());
       stats->precompute_seconds += timer.ElapsedSeconds();
@@ -200,9 +200,10 @@ StatusOr<MotifResult> BtmMotif(const DistanceProvider& dist,
   }
 
   if (options.relaxed) {
-    return RunRelaxed(dist, options, rb, stats, pool);
+    return RunRelaxed(dist.View(), options, rb, stats, pool);
   }
-  return RunTight(dist, options, need_relaxed ? &rb : nullptr, stats, pool);
+  return RunTight(dist.View(), options, need_relaxed ? &rb : nullptr, stats,
+                  pool);
 }
 
 StatusOr<MotifResult> BtmMotif(const Trajectory& s, const GroundMetric& metric,

@@ -61,7 +61,7 @@ struct BtmOptions {
 ///
 /// `stats` may be null. Returns InvalidArgument when the input admits no
 /// valid candidate.
-StatusOr<MotifResult> BtmMotif(const DistanceProvider& dist,
+StatusOr<MotifResult> BtmMotif(const DistanceMatrix& dist,
                                const BtmOptions& options,
                                MotifStats* stats = nullptr);
 

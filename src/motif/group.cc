@@ -11,7 +11,8 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
-Grouping Grouping::Build(const DistanceProvider& dist,
+template <typename Dist>
+Grouping Grouping::Build(const Dist& dist,
                          const MotifOptions& options, Index tau) {
   Grouping g;
   g.tau_ = tau;
@@ -68,6 +69,11 @@ Grouping Grouping::Build(const DistanceProvider& dist,
   }
   return g;
 }
+
+template Grouping Grouping::Build(const MatrixView&, const MotifOptions&,
+                                  Index);
+template Grouping Grouping::Build(const PointDistances&, const MotifOptions&,
+                                  Index);
 
 double Grouping::CrossLb(Index u, Index v) const {
   // A candidate's alignment path is only guaranteed to enter the

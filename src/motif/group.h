@@ -27,10 +27,12 @@ namespace frechet_motif {
 /// guaranteed and the cross/band bounds simply deactivate).
 class Grouping {
  public:
-  /// Scans the provider once (O(n·m) distance evaluations, O((n/τ)(m/τ))
+  /// Scans the ground distances once (O(n·m) evaluations, O((n/τ)(m/τ))
   /// memory) and precomputes the group-level relaxed pattern-bound arrays.
-  /// `tau` must be >= 1.
-  static Grouping Build(const DistanceProvider& dist,
+  /// `tau` must be >= 1. Instantiated for Dist = MatrixView and
+  /// PointDistances only.
+  template <typename Dist>
+  static Grouping Build(const Dist& dist,
                         const MotifOptions& options, Index tau);
 
   Index tau() const { return tau_; }

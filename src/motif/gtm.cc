@@ -77,7 +77,7 @@ std::vector<std::pair<Index, Index>> PruneGroupPairs(
 
 }  // namespace
 
-StatusOr<MotifResult> GtmMotif(const DistanceProvider& dist,
+StatusOr<MotifResult> GtmMotif(const DistanceMatrix& dist,
                                const GtmOptions& options, MotifStats* stats) {
   const Index n = dist.rows();
   const Index m = dist.cols();
@@ -105,7 +105,8 @@ StatusOr<MotifResult> GtmMotif(const DistanceProvider& dist,
 
   // Point-level relaxed bounds, used in the final phase and for end-cross
   // pruning inside the shared DP.
-  const RelaxedBounds rb = RelaxedBounds::Build(dist, options.motif, pool);
+  const MatrixView view = dist.View();
+  const RelaxedBounds rb = RelaxedBounds::Build(view, options.motif, pool);
   if (stats != nullptr) {
     stats->memory.Add(rb.MemoryBytes());
     stats->total_subsets = CountValidSubsets(options.motif, n, m);
@@ -120,7 +121,7 @@ StatusOr<MotifResult> GtmMotif(const DistanceProvider& dist,
   std::vector<std::pair<Index, Index>> pairs;
   bool have_pairs = false;
   while (tau > 1) {
-    const Grouping grouping = Grouping::Build(dist, options.motif, tau);
+    const Grouping grouping = Grouping::Build(view, options.motif, tau);
     const ScopedAllocation grouping_mem(
         stats != nullptr ? &stats->memory : nullptr, grouping.MemoryBytes());
     if (!have_pairs) {
@@ -175,13 +176,13 @@ StatusOr<MotifResult> GtmMotif(const DistanceProvider& dist,
   }
   // Bound sweep over the surviving subsets, sharded when a pool is given.
   FillSubsetBounds(&entries, pool, [&](Index i, Index j) {
-    return std::max({dist.Distance(i, j), rb.StartCross(i, j), rb.BandRow(j),
+    return std::max({view.Distance(i, j), rb.StartCross(i, j), rb.BandRow(j),
                      rb.BandCol(i)});
   });
   if (stats != nullptr) {
     stats->memory.Add(entries.capacity() * sizeof(SubsetEntry));
   }
-  RunSubsetQueue(dist, motif, &entries, &rb, options.use_end_cross,
+  RunSubsetQueue(view, motif, &entries, &rb, options.use_end_cross,
                  /*sort_entries=*/true, &state, stats, /*caps=*/nullptr,
                  lb_scale, pool);
   if (stats != nullptr) stats->search_seconds += timer.ElapsedSeconds();

@@ -50,7 +50,7 @@ struct GtmOptions {
 /// pairs. At τ = 1 the surviving candidate subsets are processed with the
 /// best-first bounded search of Algorithm 2. Exact: returns the same
 /// distance as BruteDpMotif.
-StatusOr<MotifResult> GtmMotif(const DistanceProvider& dist,
+StatusOr<MotifResult> GtmMotif(const DistanceMatrix& dist,
                                const GtmOptions& options,
                                MotifStats* stats = nullptr);
 

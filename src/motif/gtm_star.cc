@@ -20,11 +20,13 @@ struct GroupEntry {
   Index v = 0;
 };
 
-}  // namespace
-
-StatusOr<MotifResult> GtmStarMotif(const DistanceProvider& dist,
-                                   const GtmStarOptions& options,
-                                   MotifStats* stats) {
+/// GTM* over either ground-distance accessor: a MatrixView (the test
+/// entry point) or PointDistances (on the fly). `dist_bytes` is the
+/// memory the accessor's owner retains.
+template <typename Dist>
+StatusOr<MotifResult> RunGtmStar(const Dist& dist, std::size_t dist_bytes,
+                                 const GtmStarOptions& options,
+                                 MotifStats* stats) {
   const Index n = dist.rows();
   const Index m = dist.cols();
   FM_RETURN_IF_ERROR(ValidateMotifInput(options.motif, n, m));
@@ -41,7 +43,7 @@ StatusOr<MotifResult> GtmStarMotif(const DistanceProvider& dist,
   const MotifOptions& motif = options.motif;
 
   Timer timer;
-  if (stats != nullptr) stats->memory.Add(dist.MemoryBytes());
+  if (stats != nullptr) stats->memory.Add(dist_bytes);
 
   // Worker pool for the bound sweep and the block verification batches;
   // absent (null) on the default threads=1 serial path.
@@ -54,7 +56,7 @@ StatusOr<MotifResult> GtmStarMotif(const DistanceProvider& dist,
   }
 
   // Single grouping pass at τ (Idea iii) and O(n+m)-space relaxed bounds;
-  // both scan the provider on the fly (Idea i).
+  // both scan the ground distances on the fly (Idea i).
   const Grouping grouping = Grouping::Build(dist, motif,
                                             options.group_size_tau);
   const RelaxedBounds rb = RelaxedBounds::Build(dist, motif, pool);
@@ -141,26 +143,20 @@ StatusOr<MotifResult> GtmStarMotif(const DistanceProvider& dist,
   return result;
 }
 
-namespace {
-
-/// The haversine metric admits an O(n)-memory unit-vector cache whose
-/// results are bit-identical to fresh evaluation; use it when applicable.
-bool IsHaversine(const GroundMetric& metric) {
-  return dynamic_cast<const HaversineMetric*>(&metric) != nullptr;
-}
-
 }  // namespace
+
+StatusOr<MotifResult> GtmStarMotif(const DistanceMatrix& dist,
+                                   const GtmStarOptions& options,
+                                   MotifStats* stats) {
+  return RunGtmStar(dist.View(), dist.MemoryBytes(), options, stats);
+}
 
 StatusOr<MotifResult> GtmStarMotif(const Trajectory& s,
                                    const GroundMetric& metric,
                                    const GtmStarOptions& options,
                                    MotifStats* stats) {
-  if (IsHaversine(metric)) {
-    const CachedHaversineDistance dist(s);
-    return GtmStarMotif(dist, options, stats);
-  }
-  const OnTheFlyDistance dist(s, metric);
-  return GtmStarMotif(dist, options, stats);
+  const PointDistances dist(s, metric);
+  return RunGtmStar(dist, dist.MemoryBytes(), options, stats);
 }
 
 StatusOr<MotifResult> GtmStarMotif(const Trajectory& s, const Trajectory& t,
@@ -169,12 +165,8 @@ StatusOr<MotifResult> GtmStarMotif(const Trajectory& s, const Trajectory& t,
                                    MotifStats* stats) {
   GtmStarOptions cross_options = options;
   cross_options.motif.variant = MotifVariant::kCrossTrajectory;
-  if (IsHaversine(metric)) {
-    const CachedHaversineDistance dist(s, t);
-    return GtmStarMotif(dist, cross_options, stats);
-  }
-  const OnTheFlyDistance dist(s, t, metric);
-  return GtmStarMotif(dist, cross_options, stats);
+  const PointDistances dist(s, t, metric);
+  return RunGtmStar(dist, dist.MemoryBytes(), cross_options, stats);
 }
 
 }  // namespace frechet_motif

@@ -43,10 +43,10 @@ struct GtmStarOptions {
 /// Space: O(max{(n/τ)², n}). Exact: returns the same distance as
 /// BruteDpMotif.
 ///
-/// The provider-based entry point lets tests drive GTM* over explicit
-/// matrices; production use goes through the trajectory overloads, which
-/// construct an OnTheFlyDistance.
-StatusOr<MotifResult> GtmStarMotif(const DistanceProvider& dist,
+/// The matrix entry point lets tests drive GTM* over explicit matrices;
+/// production use goes through the trajectory overloads, which compute
+/// ground distances on the fly (PointDistances).
+StatusOr<MotifResult> GtmStarMotif(const DistanceMatrix& dist,
                                    const GtmStarOptions& options,
                                    MotifStats* stats = nullptr);
 

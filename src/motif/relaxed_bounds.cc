@@ -29,7 +29,8 @@ std::vector<double> SlidingWindowMax(const std::vector<double>& values,
   return out;
 }
 
-RelaxedBounds RelaxedBounds::Build(const DistanceProvider& dist,
+template <typename Dist>
+RelaxedBounds RelaxedBounds::Build(const Dist& dist,
                                    const MotifOptions& options,
                                    ThreadPool* pool) {
   const Index n = dist.rows();
@@ -100,6 +101,11 @@ RelaxedBounds RelaxedBounds::Build(const DistanceProvider& dist,
   rb.band_col_ = SlidingWindowMax(rb.cmin_start_, options.min_length_xi);
   return rb;
 }
+
+template RelaxedBounds RelaxedBounds::Build(const MatrixView&,
+                                            const MotifOptions&, ThreadPool*);
+template RelaxedBounds RelaxedBounds::Build(const PointDistances&,
+                                            const MotifOptions&, ThreadPool*);
 
 RelaxedBounds RelaxedBounds::FromComponents(std::vector<double> rmin,
                                             std::vector<double> cmin,

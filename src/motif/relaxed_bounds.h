@@ -38,12 +38,14 @@ class RelaxedBounds {
   RelaxedBounds() = default;
 
   /// Runs the precomputation pass. O(n·m) distance evaluations,
-  /// O(n+m) memory — compatible with GTM*'s on-the-fly provider.
+  /// O(n+m) memory — compatible with GTM*'s on-the-fly distances.
+  /// Instantiated for Dist = MatrixView and PointDistances only.
   ///
   /// `pool` (optional) shards the row/column sweeps across its lanes; each
   /// output index is written by exactly one iteration, so the result is
   /// bit-identical to the serial pass.
-  static RelaxedBounds Build(const DistanceProvider& dist,
+  template <typename Dist>
+  static RelaxedBounds Build(const Dist& dist,
                              const MotifOptions& options,
                              ThreadPool* pool = nullptr);
 
@@ -51,7 +53,7 @@ class RelaxedBounds {
   /// the hook for incremental maintainers (the streaming engine keeps the
   /// row/column minima up to date under window eviction instead of
   /// re-running Build). The arrays must hold exactly the values Build
-  /// would produce for the same provider and options; the band arrays
+  /// would produce for the same matrix and options; the band arrays
   /// are derived here via SlidingWindowMax with window `min_length_xi`,
   /// exactly as Build derives them.
   static RelaxedBounds FromComponents(std::vector<double> rmin,

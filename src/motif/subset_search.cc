@@ -10,16 +10,15 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// The shared subset DP, templated on the ground-distance accessor so that
-/// the matrix-backed instantiation inlines to raw row-major loads (the
-/// devirtualized hot path) while any other provider keeps the generic
-/// virtual-call instantiation. `dist_at(r, c)` uses absolute indices.
-template <typename DistFn>
-void EvaluateSubsetImpl(const DistFn& dist_at, Index n, Index m,
-                        const MotifOptions& options, Index i, Index j,
-                        const RelaxedBounds* relaxed, bool use_end_cross,
-                        const EndpointCaps& caps, SearchState* state,
-                        MotifStats* stats, FrechetScratch* scratch) {
+}  // namespace
+
+template <typename Dist>
+void EvaluateSubset(const Dist& dist, const MotifOptions& options, Index i,
+                    Index j, const RelaxedBounds* relaxed, bool use_end_cross,
+                    const EndpointCaps& caps, SearchState* state,
+                    MotifStats* stats, FrechetScratch* scratch) {
+  const Index n = dist.rows();
+  const Index m = dist.cols();
   const Index xi = options.min_length_xi;
   const bool single = options.variant == MotifVariant::kSingleTrajectory;
   // An endpoint cap is a wall: row ie_cap+1 / column je_cap+1 is too
@@ -45,10 +44,10 @@ void EvaluateSubsetImpl(const DistFn& dist_at, Index n, Index m,
   std::int64_t cells = 0;
 
   // Init row ie = i: dF(i, i, j, je) = running max of dG(i, j..je).
-  double running = dist_at(i, j);
+  double running = dist.Distance(i, j);
   prev[0] = running;
   for (Index q = 1; q < width; ++q) {
-    const double d = dist_at(i, j + q);
+    const double d = dist.Distance(i, j + q);
     if (d > running) running = d;
     prev[q] = running;
   }
@@ -60,7 +59,8 @@ void EvaluateSubsetImpl(const DistFn& dist_at, Index n, Index m,
     const bool endpoint_row = ie >= i + xi + 1;
     Index live = 0;  // cells of this row that are not frozen
     // First column je = j (never a valid endpoint: je must exceed j+xi).
-    curr[0] = prev[0] == kInf ? kInf : std::max(prev[0], dist_at(ie, j));
+    curr[0] =
+        prev[0] == kInf ? kInf : std::max(prev[0], dist.Distance(ie, j));
     if (curr[0] != kInf && pruning && relaxed->Cmin(ie) > state->threshold &&
         relaxed->Rmin(j) > state->threshold) {
       curr[0] = kInf;
@@ -73,7 +73,7 @@ void EvaluateSubsetImpl(const DistFn& dist_at, Index n, Index m,
       if (best_predecessor == kInf) {
         v = kInf;  // unreachable through frozen frontier
       } else {
-        v = std::max(dist_at(ie, j + q), best_predecessor);
+        v = std::max(dist.Distance(ie, j + q), best_predecessor);
       }
       const Index je = j + q;
       if (v != kInf) {
@@ -108,35 +108,7 @@ void EvaluateSubsetImpl(const DistFn& dist_at, Index n, Index m,
   }
 }
 
-/// Devirtualized absolute-index accessor over a materialized matrix.
-struct MatrixDist {
-  const double* base;
-  std::size_t stride;
-  double operator()(Index r, Index c) const {
-    return base[static_cast<std::size_t>(r) * stride +
-                static_cast<std::size_t>(c)];
-  }
-};
-
-/// Devirtualized accessor over the sliding-window ring matrix: same
-/// row-major loads, plus the logical-to-physical head rotation (a
-/// branchless-friendly compare per axis, no modulo).
-struct RingDist {
-  const double* base;
-  std::size_t stride;
-  Index row_head;
-  Index col_head;
-  Index row_capacity;
-  Index col_capacity;
-  double operator()(Index r, Index c) const {
-    Index pr = row_head + r;
-    if (pr >= row_capacity) pr -= row_capacity;
-    Index pc = col_head + c;
-    if (pc >= col_capacity) pc -= col_capacity;
-    return base[static_cast<std::size_t>(pr) * stride +
-                static_cast<std::size_t>(pc)];
-  }
-};
+namespace {
 
 /// Accumulates the counters EvaluateSubset touches, for the deterministic
 /// in-order merge of parallel batches.
@@ -145,39 +117,6 @@ void MergeEvaluationStats(const MotifStats& from, MotifStats* into) {
   into->dfd_cells_computed += from.dfd_cells_computed;
   into->bsf_updates += from.bsf_updates;
 }
-
-}  // namespace
-
-void EvaluateSubset(const DistanceProvider& dist, const MotifOptions& options,
-                    Index i, Index j, const RelaxedBounds* relaxed,
-                    bool use_end_cross, const EndpointCaps& caps,
-                    SearchState* state, MotifStats* stats,
-                    FrechetScratch* scratch) {
-  const Index n = dist.rows();
-  const Index m = dist.cols();
-  if (const auto* matrix = dynamic_cast<const DistanceMatrix*>(&dist)) {
-    const MatrixDist at{matrix->Row(0), static_cast<std::size_t>(m)};
-    EvaluateSubsetImpl(at, n, m, options, i, j, relaxed, use_end_cross, caps,
-                       state, stats, scratch);
-    return;
-  }
-  if (const auto* ring = dynamic_cast<const RingDistanceMatrix*>(&dist)) {
-    const RingDist at{ring->data(),
-                      static_cast<std::size_t>(ring->col_capacity()),
-                      ring->row_head(),
-                      ring->col_head(),
-                      ring->row_capacity(),
-                      ring->col_capacity()};
-    EvaluateSubsetImpl(at, n, m, options, i, j, relaxed, use_end_cross, caps,
-                       state, stats, scratch);
-    return;
-  }
-  const auto at = [&dist](Index r, Index c) { return dist.Distance(r, c); };
-  EvaluateSubsetImpl(at, n, m, options, i, j, relaxed, use_end_cross, caps,
-                     state, stats, scratch);
-}
-
-namespace {
 
 /// Shrinks the global endpoint caps after a best-so-far improvement
 /// (Algorithm 2 lines 12-13, both axes), justified by whole-row/column
@@ -195,7 +134,8 @@ void TightenCaps(const RelaxedBounds& relaxed, const SearchState& state,
   }
 }
 
-void RunSubsetQueueSerial(const DistanceProvider& dist,
+template <typename Dist>
+void RunSubsetQueueSerial(const Dist& dist,
                           const MotifOptions& options,
                           const std::vector<SubsetEntry>& entries,
                           const RelaxedBounds* relaxed, bool use_end_cross,
@@ -228,7 +168,8 @@ void RunSubsetQueueSerial(const DistanceProvider& dist,
   }
 }
 
-void RunSubsetQueueParallel(const DistanceProvider& dist,
+template <typename Dist>
+void RunSubsetQueueParallel(const Dist& dist,
                             const MotifOptions& options,
                             const std::vector<SubsetEntry>& entries,
                             const RelaxedBounds* relaxed, bool use_end_cross,
@@ -306,7 +247,8 @@ void RunSubsetQueueParallel(const DistanceProvider& dist,
 
 }  // namespace
 
-void RunSubsetQueue(const DistanceProvider& dist, const MotifOptions& options,
+template <typename Dist>
+void RunSubsetQueue(const Dist& dist, const MotifOptions& options,
                     std::vector<SubsetEntry>* entries,
                     const RelaxedBounds* relaxed, bool use_end_cross,
                     bool sort_entries, SearchState* state, MotifStats* stats,
@@ -340,6 +282,24 @@ void RunSubsetQueue(const DistanceProvider& dist, const MotifOptions& options,
   RunSubsetQueueSerial(dist, options, *entries, relaxed, use_end_cross,
                        sort_entries, state, stats, caps, lb_scale);
 }
+
+// The two ground-distance accessors; no other type is compiled in.
+template void EvaluateSubset(const MatrixView&, const MotifOptions&, Index,
+                             Index, const RelaxedBounds*, bool,
+                             const EndpointCaps&, SearchState*, MotifStats*,
+                             FrechetScratch*);
+template void EvaluateSubset(const PointDistances&, const MotifOptions&, Index,
+                             Index, const RelaxedBounds*, bool,
+                             const EndpointCaps&, SearchState*, MotifStats*,
+                             FrechetScratch*);
+template void RunSubsetQueue(const MatrixView&, const MotifOptions&,
+                             std::vector<SubsetEntry>*, const RelaxedBounds*,
+                             bool, bool, SearchState*, MotifStats*,
+                             EndpointCaps*, double, ThreadPool*);
+template void RunSubsetQueue(const PointDistances&, const MotifOptions&,
+                             std::vector<SubsetEntry>*, const RelaxedBounds*,
+                             bool, bool, SearchState*, MotifStats*,
+                             EndpointCaps*, double, ThreadPool*);
 
 void FillSubsetBounds(std::vector<SubsetEntry>* entries, ThreadPool* pool,
                       const std::function<double(Index, Index)>& bound) {

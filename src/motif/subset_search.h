@@ -73,10 +73,10 @@ struct EndpointCaps {
 /// caller-provided `scratch`, reused across subsets so no evaluation
 /// allocates after warm-up.
 ///
-/// When `dist` is a DistanceMatrix the DP inner loop runs monomorphized
-/// over the row-major storage (no virtual call per cell); any other
-/// provider takes the generic virtual-dispatch path. Results are
-/// bit-identical either way.
+/// `Dist` is one of the two ground-distance accessors: MatrixView (dense
+/// or ring matrix) or PointDistances (GTM*'s on-the-fly distances). The
+/// template is defined and instantiated for exactly those two in
+/// subset_search.cc; each instantiation inlines its accessor into the DP.
 ///
 /// When `relaxed` is non-null and `use_end_cross` is set, applies the
 /// end-cell cross bound (Equation 9): a DP cell whose extensions are all
@@ -84,7 +84,8 @@ struct EndpointCaps {
 /// subset evaluation stops early once an entire row is frozen.
 ///
 /// `stats` may be null.
-void EvaluateSubset(const DistanceProvider& dist, const MotifOptions& options,
+template <typename Dist>
+void EvaluateSubset(const Dist& dist, const MotifOptions& options,
                     Index i, Index j, const RelaxedBounds* relaxed,
                     bool use_end_cross, const EndpointCaps& caps,
                     SearchState* state, MotifStats* stats,
@@ -132,7 +133,10 @@ struct SubsetEntry {
 /// serially — there a skipped subset may hold a better-than-best
 /// candidate, so batching could change which (1+ε)-valid answer is
 /// returned.
-void RunSubsetQueue(const DistanceProvider& dist, const MotifOptions& options,
+///
+/// Instantiated for the same two accessors as EvaluateSubset.
+template <typename Dist>
+void RunSubsetQueue(const Dist& dist, const MotifOptions& options,
                     std::vector<SubsetEntry>* entries,
                     const RelaxedBounds* relaxed, bool use_end_cross,
                     bool sort_entries, SearchState* state, MotifStats* stats,

@@ -32,7 +32,7 @@ Index StartSeparation(const Candidate& a, const Candidate& b) {
 
 }  // namespace
 
-StatusOr<std::vector<MotifResult>> TopKMotifs(const DistanceProvider& dist,
+StatusOr<std::vector<MotifResult>> TopKMotifs(const DistanceMatrix& dist,
                                               const TopKOptions& options,
                                               MotifStats* stats) {
   const Index n = dist.rows();
@@ -62,7 +62,8 @@ StatusOr<std::vector<MotifResult>> TopKMotifs(const DistanceProvider& dist,
     pool_storage.emplace(threads);
     pool = &*pool_storage;
   }
-  const RelaxedBounds rb = RelaxedBounds::Build(dist, options.motif, pool);
+  const MatrixView view = dist.View();
+  const RelaxedBounds rb = RelaxedBounds::Build(view, options.motif, pool);
 
   // Candidate subsets in ascending combined-lower-bound order, as in BTM.
   std::vector<SubsetEntry> entries;
@@ -113,7 +114,7 @@ StatusOr<std::vector<MotifResult>> TopKMotifs(const DistanceProvider& dist,
     if (e.lb * lb_scale > prune_threshold()) break;
     SearchState local;
     local.threshold = prune_threshold();
-    EvaluateSubset(dist, options.motif, e.i, e.j, &rb,
+    EvaluateSubset(view, options.motif, e.i, e.j, &rb,
                    /*use_end_cross=*/true, EndpointCaps{}, &local, stats,
                    &scratch);
     if (!local.found) continue;  // whole subset above the threshold

@@ -54,7 +54,7 @@ struct TopKOptions {
 ///
 /// Results are sorted ascending by distance; fewer than k are returned
 /// when the trajectory does not admit that many. `stats` may be null.
-StatusOr<std::vector<MotifResult>> TopKMotifs(const DistanceProvider& dist,
+StatusOr<std::vector<MotifResult>> TopKMotifs(const DistanceMatrix& dist,
                                               const TopKOptions& options,
                                               MotifStats* stats = nullptr);
 

@@ -27,8 +27,8 @@ namespace {
 // the first rows), then every CheckStride(la)-th row. Non-checkpoint rows
 // run the identical loop as the unbounded kernel.
 //
-// The schedule MUST be a pure function of (p, la) shared by the scalar,
-// generic and SIMD kernels: the first checkpoint whose frontier minimum
+// The schedule MUST be a pure function of (p, la) shared by the scalar
+// and SIMD kernels: the first checkpoint whose frontier minimum
 // exceeds the threshold determines which lower bound an above-threshold
 // call returns, so cross-variant bit-identity (enforced by
 // tests/kernel_parity_fuzz_test.cc) requires one schedule.
@@ -66,8 +66,8 @@ inline double CornerBound(Index la, Index lb, const DistFn& dist) {
 /// first sequence (length la) and the q-th point of the second (length lb).
 ///
 /// This template is the single source of truth for the recurrence; it is
-/// instantiated once per accessor so that cheap accessors (the row-major
-/// matrix functor below) inline into the loop with no virtual dispatch.
+/// instantiated once per accessor (trajectory metric calls, the row-major
+/// matrix functor below) so each accessor inlines into the loop.
 /// The explicit-SIMD matrix kernels below compute bit-identical values
 /// (their reassociation is min/max-only, which is exact).
 template <typename DistFn>
@@ -129,7 +129,7 @@ double FrechetDpKernel(Index la, Index lb, const DistFn& dist,
   return row[static_cast<std::size_t>(lb) - 1];
 }
 
-/// Devirtualized accessor into a row-major matrix block whose (0, 0) cell
+/// Accessor into a row-major matrix block whose (0, 0) cell
 /// sits at `base`: pure pointer arithmetic, trivially inlined.
 struct MatrixBlockDist {
   const double* base;
@@ -477,15 +477,6 @@ double DispatchMatrixKernel(Index la, Index lb, const double* base,
                          row);
 }
 
-Status ValidateRange(const DistanceProvider& dist, Index i, Index ie, Index j,
-                     Index je) {
-  if (i < 0 || j < 0 || i > ie || j > je || ie >= dist.rows() ||
-      je >= dist.cols()) {
-    return Status::InvalidArgument("invalid subtrajectory range");
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 StatusOr<double> DiscreteFrechet(const Trajectory& a, const Trajectory& b,
@@ -507,35 +498,15 @@ StatusOr<double> DiscreteFrechetOnRange(const DistanceMatrix& dist, Index i,
                                         Index ie, Index j, Index je,
                                         double threshold,
                                         FrechetScratch* scratch) {
-  FM_RETURN_IF_ERROR(ValidateRange(dist, i, ie, j, je));
+  if (i < 0 || j < 0 || i > ie || j > je || ie >= dist.rows() ||
+      je >= dist.cols()) {
+    return Status::InvalidArgument("invalid subtrajectory range");
+  }
   FrechetScratch local;
   FrechetScratch& s = scratch != nullptr ? *scratch : local;
   return DispatchMatrixKernel(ie - i + 1, je - j + 1, dist.Row(i) + j,
                               static_cast<std::size_t>(dist.cols()), threshold,
                               s.row);
-}
-
-StatusOr<double> DiscreteFrechetOnRangeGeneric(const DistanceProvider& dist,
-                                               Index i, Index ie, Index j,
-                                               Index je, double threshold,
-                                               FrechetScratch* scratch) {
-  FM_RETURN_IF_ERROR(ValidateRange(dist, i, ie, j, je));
-  FrechetScratch local;
-  FrechetScratch& s = scratch != nullptr ? *scratch : local;
-  return FrechetDpKernel(
-      ie - i + 1, je - j + 1,
-      [&](Index p, Index q) { return dist.Distance(i + p, j + q); },
-      threshold, s.row);
-}
-
-StatusOr<double> DiscreteFrechetOnRange(const DistanceProvider& dist, Index i,
-                                        Index ie, Index j, Index je,
-                                        double threshold,
-                                        FrechetScratch* scratch) {
-  if (const auto* matrix = dynamic_cast<const DistanceMatrix*>(&dist)) {
-    return DiscreteFrechetOnRange(*matrix, i, ie, j, je, threshold, scratch);
-  }
-  return DiscreteFrechetOnRangeGeneric(dist, i, ie, j, je, threshold, scratch);
 }
 
 StatusOr<std::vector<double>> DiscreteFrechetMatrix(

@@ -52,7 +52,7 @@ StatusOr<double> DiscreteFrechet(const Trajectory& a, const Trajectory& b,
                                  FrechetScratch* scratch = nullptr);
 
 /// DFD of the candidate subtrajectory pair (rows i..ie, columns j..je) over
-/// a ground-distance provider. Indices must satisfy
+/// a ground-distance matrix. Indices must satisfy
 /// 0 <= i <= ie < dist.rows() and 0 <= j <= je < dist.cols(); violations
 /// return InvalidArgument.
 ///
@@ -68,26 +68,11 @@ StatusOr<double> DiscreteFrechet(const Trajectory& a, const Trajectory& b,
 /// "DFD > threshold" therefore lose nothing. Pass kNoFrechetThreshold
 /// (default) for the always-exact behavior.
 ///
-/// When `dist` is a DistanceMatrix the call dispatches to the
-/// monomorphized overload below; otherwise it runs the generic
-/// virtual-dispatch kernel.
-StatusOr<double> DiscreteFrechetOnRange(
-    const DistanceProvider& dist, Index i, Index ie, Index j, Index je,
-    double threshold = kNoFrechetThreshold, FrechetScratch* scratch = nullptr);
-
-/// Monomorphized fast path over the materialized matrix: the inner loop
-/// reads ground distances with row-major pointer arithmetic (no virtual
-/// dispatch), which is what makes BruteDP/BTM/GTM hot loops fast. Same
-/// contract as the provider overload; results are bit-identical.
+/// The inner loop reads ground distances with row-major pointer
+/// arithmetic, through the widest SIMD kernel the CPU runs (all levels are
+/// bit-identical).
 StatusOr<double> DiscreteFrechetOnRange(
     const DistanceMatrix& dist, Index i, Index ie, Index j, Index je,
-    double threshold = kNoFrechetThreshold, FrechetScratch* scratch = nullptr);
-
-/// Reference generic kernel: always pays one virtual DistanceProvider call
-/// per DP cell, even for a DistanceMatrix. Exists so benchmarks and parity
-/// tests can compare the monomorphized path against the PR-1 baseline.
-StatusOr<double> DiscreteFrechetOnRangeGeneric(
-    const DistanceProvider& dist, Index i, Index ie, Index j, Index je,
     double threshold = kNoFrechetThreshold, FrechetScratch* scratch = nullptr);
 
 /// Computes the full dF matrix for the pair (a, b): entry (p, q) holds the

@@ -17,6 +17,11 @@ Status IngestFrontend::Offer(const Point& p, const double* timestamp,
     return Status::InvalidArgument(
         "stream timestamps must be finite (got NaN or infinity)");
   }
+  // A non-finite coordinate would otherwise advance the watermark (or sit
+  // in the buffer) before the window refuses it on release.
+  if (!p.IsFinite()) {
+    return Status::InvalidArgument("non-finite coordinate in streamed point");
+  }
   if (capacity_ <= 0 || timestamp == nullptr) {
     if (!buffer_.empty()) {
       return Status::InvalidArgument(

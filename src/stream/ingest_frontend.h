@@ -86,7 +86,8 @@ class IngestFrontend {
   /// several) are handed to `sink` before the call returns. Bare
   /// arrivals bypass the buffer — reordering needs timestamps — but
   /// must not be mixed with timestamped ones while the buffer is
-  /// non-empty.
+  /// non-empty. A NaN or infinite coordinate or timestamp is rejected
+  /// with InvalidArgument before the frontend changes any state.
   Status Offer(const Point& p, const double* timestamp, const Sink& sink);
 
   /// Releases everything still buffered, in timestamp order (end of

@@ -110,7 +110,8 @@ class StreamingMotifMonitor {
   /// one is due. Returns the slide report when a search ran, std::nullopt
   /// otherwise. The timestamped overloads carry per-point timestamps into
   /// WindowTrajectory(); mixing timestamped and bare pushes on one side
-  /// is an error.
+  /// is an error, and so is a point with a NaN or infinite coordinate.
+  /// A rejected push changes no state.
   StatusOr<std::optional<StreamUpdate>> Push(const Point& p);
   StatusOr<std::optional<StreamUpdate>> Push(const Point& p, double timestamp);
 

@@ -46,6 +46,11 @@ MotifOptions WindowState::SearchMotifOptions() const {
 }
 
 Status WindowState::Append(int side, const Point& p, const double* timestamp) {
+  // A non-finite coordinate would poison a whole ring row and column (and
+  // the bounds read from them), so it is refused before anything moves.
+  if (!p.IsFinite()) {
+    return Status::InvalidArgument("non-finite coordinate in streamed point");
+  }
   std::deque<Point>& window = side == 0 ? window_ : second_window_;
   std::deque<SphereVec>& vecs = side == 0 ? vecs_ : second_vecs_;
   std::deque<double>& times = side == 0 ? times_ : second_times_;
@@ -210,13 +215,14 @@ StatusOr<StreamUpdate> WindowState::RunSearch(ThreadPool* pool) {
   // Section 4.3 bounds), mirrored verbatim so the result is bit-identical
   // to the from-scratch baseline — the only difference is the seeded
   // initial threshold.
+  const MatrixView dg = ring_.View();
   std::vector<SubsetEntry> entries;
   entries.reserve(static_cast<std::size_t>(CountValidSubsets(motif, n, m)));
   ForEachValidSubset(motif, n, m, [&](Index i, Index j) {
     entries.push_back(SubsetEntry{0.0, i, j});
   });
   FillSubsetBounds(&entries, pool, [&](Index i, Index j) {
-    const double cell = LbCell(ring_, i, j);
+    const double cell = LbCell(dg, i, j);
     const double cross_lb = rb.StartCross(i, j);
     const double band = std::max(rb.BandRow(j), rb.BandCol(i));
     return std::max({cell, cross_lb, band});
@@ -331,7 +337,7 @@ StatusOr<StreamUpdate> WindowState::RunSearch(ThreadPool* pool) {
   timer.Restart();
   SearchState state;
   state.threshold = update.seed_threshold;
-  RunSubsetQueue(ring_, motif, &entries, &rb, /*use_end_cross=*/true,
+  RunSubsetQueue(dg, motif, &entries, &rb, /*use_end_cross=*/true,
                  /*sort_entries=*/true, &state, &update.stats,
                  /*caps=*/nullptr, lb_scale, pool);
   update.stats.search_seconds += timer.ElapsedSeconds();

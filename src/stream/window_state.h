@@ -158,6 +158,9 @@ class WindowState {
   /// mode only): evicts when full, extends the ring matrix with the fresh
   /// ground distances, and advances the slide accounting. `timestamp` may
   /// be null; mixing timestamped and bare appends on one side is an error.
+  /// A point with a NaN or infinite coordinate is rejected with
+  /// InvalidArgument, as Trajectory::Create rejects it. A rejected append
+  /// changes no state.
   Status Append(int side, const Point& p, const double* timestamp);
 
   /// True when the cadence (window full; `slide_step` appends since the

@@ -43,14 +43,14 @@ class BoundSoundnessTest
                                   ? MakeRandomSelfMatrix(n, seed)
                                   : MakeRandomCrossMatrix(n, n + 3, seed);
     const MotifOptions options = single ? SingleOptions(xi) : CrossOptions(xi);
-    const RelaxedBounds rb = RelaxedBounds::Build(dg, options);
+    const RelaxedBounds rb = RelaxedBounds::Build(dg.View(), options);
     const Index m = dg.cols();
 
     ForEachValidSubset(options, dg.rows(), m, [&](Index i, Index j) {
-      const double cell = LbCell(dg, i, j);
-      const double cross = LbStartCross(dg, options, i, j);
-      const double band_row = LbRowBand(dg, options, i, j);
-      const double band_col = LbColBand(dg, options, i, j);
+      const double cell = LbCell(dg.View(), i, j);
+      const double cross = LbStartCross(dg.View(), options, i, j);
+      const double band_row = LbRowBand(dg.View(), options, i, j);
+      const double band_col = LbColBand(dg.View(), options, i, j);
       const double r_cross = rb.StartCross(i, j);
       const double r_band_row = rb.BandRow(j);
       const double r_band_col = rb.BandCol(i);
@@ -99,12 +99,12 @@ TEST_P(EndCrossSoundnessTest, BoundsCandidatesBeyondCell) {
   const DistanceMatrix dg = single ? MakeRandomSelfMatrix(n, seed)
                                    : MakeRandomCrossMatrix(n, n, seed);
   const MotifOptions options = single ? SingleOptions(xi) : CrossOptions(xi);
-  const RelaxedBounds rb = RelaxedBounds::Build(dg, options);
+  const RelaxedBounds rb = RelaxedBounds::Build(dg.View(), options);
   ForEachValidSubset(options, n, n, [&](Index i, Index j) {
     const Index ie_max = single ? j - 1 : n - 1;
     for (Index ie = i; ie <= ie_max; ++ie) {
       for (Index je = j; je <= n - 1; ++je) {
-        const double lb = LbEndCross(dg, options, i, j, ie, je);
+        const double lb = LbEndCross(dg.View(), options, i, j, ie, je);
         const double rlb = rb.EndCross(ie, je);
         EXPECT_LE(rlb, lb + 1e-12);
         for (Index ic = std::max<Index>(ie + 1, i + xi + 1); ic <= ie_max;
@@ -130,21 +130,21 @@ INSTANTIATE_TEST_SUITE_P(RandomMatrices, EndCrossSoundnessTest,
 
 TEST(BoundsTest, CellBoundIsStartDistance) {
   const DistanceMatrix dg = MakeRandomSelfMatrix(12, 1);
-  EXPECT_DOUBLE_EQ(LbCell(dg, 2, 7), dg.Distance(2, 7));
+  EXPECT_DOUBLE_EQ(LbCell(dg.View(), 2, 7), dg.Distance(2, 7));
 }
 
 TEST(BoundsTest, OutOfRangeRowGivesInfinity) {
   const DistanceMatrix dg = MakeRandomSelfMatrix(12, 1);
   const MotifOptions options = SingleOptions(2);
   // j+1 beyond the last column -> no candidate can exist.
-  EXPECT_EQ(LbRow(dg, options, 0, 11), kInf);
+  EXPECT_EQ(LbRow(dg.View(), options, 0, 11), kInf);
 }
 
 TEST(BoundsTest, BandRequiresRoomForXiRows) {
   const DistanceMatrix dg = MakeRandomSelfMatrix(12, 1);
   const MotifOptions options = SingleOptions(4);
   // j + xi exceeds the matrix: the band bound must disqualify the subset.
-  EXPECT_EQ(LbRowBand(dg, options, 0, 9), kInf);
+  EXPECT_EQ(LbRowBand(dg.View(), options, 0, 9), kInf);
 }
 
 TEST(SlidingWindowMaxTest, ComputesWindowMaxima) {

@@ -62,11 +62,11 @@ TEST(DistanceMatrixTest, ReportsMemoryFootprint) {
   EXPECT_GE(dg.MemoryBytes(), 32u * 32u * sizeof(double));
 }
 
-TEST(OnTheFlyDistanceTest, MatchesMaterializedMatrix) {
+TEST(PointDistancesTest, MatchesMaterializedMatrix) {
   const Trajectory s = MakePlanarWalk(18, 6);
   const Trajectory t = MakePlanarWalk(21, 7);
   const DistanceMatrix dg = DistanceMatrix::Build(s, t, Euclidean()).value();
-  const OnTheFlyDistance fly(s, t, Euclidean());
+  const PointDistances fly(s, t, Euclidean());
   EXPECT_EQ(fly.rows(), dg.rows());
   EXPECT_EQ(fly.cols(), dg.cols());
   for (Index i = 0; i < dg.rows(); ++i) {
@@ -77,9 +77,9 @@ TEST(OnTheFlyDistanceTest, MatchesMaterializedMatrix) {
   EXPECT_EQ(fly.MemoryBytes(), 0u);
 }
 
-TEST(OnTheFlyDistanceTest, SingleTrajectoryFormIsSelfDistance) {
+TEST(PointDistancesTest, SingleTrajectoryFormIsSelfDistance) {
   const Trajectory s = MakePlanarWalk(10, 8);
-  const OnTheFlyDistance fly(s, Euclidean());
+  const PointDistances fly(s, Euclidean());
   EXPECT_EQ(fly.rows(), 10);
   EXPECT_EQ(fly.cols(), 10);
   EXPECT_DOUBLE_EQ(fly.Distance(3, 3), 0.0);

@@ -1,6 +1,6 @@
 // Tests for the supporting extensions: coupling extraction, trajectory
-// summaries, Douglas-Peucker simplification and the cached haversine
-// provider's bit-equality with fresh evaluation.
+// summaries, Douglas-Peucker simplification and the bit-equality of the
+// cached haversine distances (PointDistances) with fresh evaluation.
 
 #include <gtest/gtest.h>
 
@@ -198,7 +198,7 @@ TEST(CachedHaversineTest, BitIdenticalToFreshEvaluation) {
   DatasetOptions d;
   d.length = 60;
   const Trajectory s = MakeDataset(DatasetKind::kBaboonLike, d).value();
-  const CachedHaversineDistance cached(s);
+  const PointDistances cached(s, Haversine());
   for (Index i = 0; i < s.size(); ++i) {
     for (Index j = 0; j < s.size(); ++j) {
       // Bit-for-bit, not approximately: GreatCircleDistanceMeters is
@@ -215,7 +215,7 @@ TEST(CachedHaversineTest, CrossFormUsesBothTrajectories) {
   const Trajectory a = MakeDataset(DatasetKind::kGeoLifeLike, d).value();
   d.seed = 43;
   const Trajectory b = MakeDataset(DatasetKind::kGeoLifeLike, d).value();
-  const CachedHaversineDistance cached(a, b);
+  const PointDistances cached(a, b, Haversine());
   EXPECT_EQ(cached.rows(), 20);
   EXPECT_EQ(cached.cols(), 20);
   EXPECT_EQ(cached.Distance(3, 7), GreatCircleDistanceMeters(a[3], b[7]));

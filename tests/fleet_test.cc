@@ -142,6 +142,24 @@ TEST(IngestFrontend, RejectsNonFiniteTimestamps) {
   EXPECT_TRUE(log.timestamps.empty());
 }
 
+TEST(IngestFrontend, RejectsNonFiniteCoordinatesWithoutStateChange) {
+  SinkLog log;
+  const Point bad = LatLon(std::numeric_limits<double>::quiet_NaN(), 116.3);
+  const double ts = 5.0;
+  IngestFrontend buffered(2);
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            buffered.Offer(bad, &ts, log.AsSink()).code());
+  EXPECT_EQ(0, buffered.buffered());
+  IngestFrontend pass_through(0);
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            pass_through.Offer(bad, &ts, log.AsSink()).code());
+  EXPECT_EQ(0, pass_through.stats().released);
+  // The rejected stamp did not advance the watermark.
+  EXPECT_EQ(-std::numeric_limits<double>::infinity(),
+            pass_through.watermark());
+  EXPECT_TRUE(log.timestamps.empty());
+}
+
 TEST(IngestFrontend, ZeroCapacityIsPassThrough) {
   IngestFrontend frontend(0);
   SinkLog log;
@@ -171,6 +189,28 @@ void ExpectUpdateEq(const StreamUpdate& expected, const StreamUpdate& actual) {
   EXPECT_EQ(expected.seeded, actual.seeded);
   EXPECT_EQ(expected.carried, actual.carried);
   EXPECT_EQ(expected.stats.dfd_cells_computed, actual.stats.dfd_cells_computed);
+}
+
+/// Every deterministic field of a slide report (timings excluded).
+void ExpectReportBitIdentical(const StreamUpdate& expected,
+                              const StreamUpdate& actual) {
+  EXPECT_EQ(expected.window_start, actual.window_start);
+  EXPECT_EQ(expected.window_start_second, actual.window_start_second);
+  EXPECT_EQ(expected.window_points, actual.window_points);
+  EXPECT_EQ(expected.seeded, actual.seeded);
+  EXPECT_EQ(expected.seed_threshold, actual.seed_threshold);
+  EXPECT_EQ(expected.carried, actual.carried);
+  EXPECT_EQ(expected.motif.found, actual.motif.found);
+  EXPECT_EQ(expected.motif.best, actual.motif.best);
+  EXPECT_EQ(expected.motif.distance, actual.motif.distance);
+  const MotifStats& e = expected.stats;
+  const MotifStats& a = actual.stats;
+  EXPECT_EQ(e.total_subsets, a.total_subsets);
+  EXPECT_EQ(e.pruned_by_band, a.pruned_by_band);
+  EXPECT_EQ(e.subsets_evaluated, a.subsets_evaluated);
+  EXPECT_EQ(e.dfd_cells_computed, a.dfd_cells_computed);
+  EXPECT_EQ(e.bsf_updates, a.bsf_updates);
+  EXPECT_EQ(e.memory.peak_bytes(), a.memory.peak_bytes());
 }
 
 TEST(FleetEngine, RoundRobinBitIdenticalToIndependentMonitors) {
@@ -703,6 +743,128 @@ TEST(FleetEngine, HeterogeneousSnapshotRestoreContinuesBitIdentically) {
     EXPECT_EQ(original_tail[k].stream, restored_tail[k].stream);
     ExpectUpdateEq(original_tail[k].update, restored_tail[k].update);
   }
+}
+
+// --- Non-finite points --------------------------------------------------------
+
+/// Poison points injected before stream position k: NaN and infinite
+/// coordinates on either axis, on an empty window, while it fills, when it
+/// is exactly full and mid-slide.
+struct Poison {
+  Index before;
+  Point point;
+};
+
+std::vector<Poison> PoisonSchedule() {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return {{0, LatLon(kNan, 116.3)},  {40, LatLon(39.9, kInf)},
+          {70, LatLon(-kInf, 116.3)}, {95, LatLon(kNan, kNan)},
+          {151, LatLon(39.9, -kInf)}};
+}
+
+TEST(NonFinitePoints, MonitorRejectsWithoutChangingLaterReports) {
+  const HaversineMetric metric;
+  const StreamOptions options = SmallStreamOptions();
+  const Trajectory t = GeoWalk(200, 7);
+  auto clean = StreamingMotifMonitor::Create(options, metric).value();
+  auto poisoned = StreamingMotifMonitor::Create(options, metric).value();
+  const std::vector<Poison> poison = PoisonSchedule();
+  std::size_t next = 0;
+  int reports = 0;
+  for (Index k = 0; k < t.size(); ++k) {
+    if (next < poison.size() && poison[next].before == k) {
+      // The first poison is timestamped: had the rejected push set the
+      // empty window's timestamp mode, every later bare push would fail.
+      auto rejected = k == 0 ? poisoned.Push(poison[next].point, 1.0)
+                             : poisoned.Push(poison[next].point);
+      EXPECT_EQ(StatusCode::kInvalidArgument, rejected.status().code())
+          << "poison before point " << k;
+      ++next;
+    }
+    auto expected = clean.Push(t[k]);
+    auto actual = poisoned.Push(t[k]);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ASSERT_TRUE(actual.ok()) << actual.status();
+    ASSERT_EQ(expected.value().has_value(), actual.value().has_value())
+        << "point " << k;
+    if (!expected.value().has_value()) continue;
+    SCOPED_TRACE(::testing::Message() << "report at point " << k);
+    ExpectReportBitIdentical(*expected.value(), *actual.value());
+    ++reports;
+  }
+  EXPECT_EQ(poison.size(), next);
+  EXPECT_GT(reports, 10);
+  EXPECT_EQ(clean.WindowTrajectory().points(),
+            poisoned.WindowTrajectory().points());
+  EXPECT_EQ(clean.points_seen(), poisoned.points_seen());
+  const StreamEngineStats& e = clean.engine_stats();
+  const StreamEngineStats& a = poisoned.engine_stats();
+  EXPECT_EQ(e.points_ingested, a.points_ingested);
+  EXPECT_EQ(e.ground_distances_computed, a.ground_distances_computed);
+  EXPECT_EQ(e.dfd_cells_computed, a.dfd_cells_computed);
+  EXPECT_EQ(e.bound_rescans, a.bound_rescans);
+}
+
+TEST(NonFinitePoints, FleetIngestRejectsWithoutChangingLaterReports) {
+  const HaversineMetric metric;
+  FleetOptions options;
+  options.stream = SmallStreamOptions();  // reorder_capacity 0
+  constexpr std::size_t kStreams = 2;
+  std::vector<Trajectory> data;
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    data.push_back(GeoWalk(200, 300 + s));
+  }
+  auto clean = MotifFleetEngine::Create(options, metric).value();
+  auto poisoned = MotifFleetEngine::Create(options, metric).value();
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    ASSERT_TRUE(clean.AddStream().ok());
+    ASSERT_TRUE(poisoned.AddStream().ok());
+  }
+  const std::vector<Poison> poison = PoisonSchedule();
+  std::size_t next = 0;
+  int reports = 0;
+  for (Index k = 0; k < 200; ++k) {
+    if (next < poison.size() && poison[next].before == k) {
+      const std::size_t stream = next % kStreams;
+      auto rejected = poisoned.Ingest(
+          {FleetArrival{stream, poison[next].point, false, 0.0}});
+      EXPECT_EQ(StatusCode::kInvalidArgument, rejected.status().code())
+          << "poison before point " << k;
+      ++next;
+    }
+    std::vector<FleetArrival> batch;
+    for (std::size_t s = 0; s < kStreams; ++s) {
+      batch.push_back(FleetArrival{s, data[s][k], false, 0.0});
+    }
+    auto expected = clean.Ingest(batch);
+    auto actual = poisoned.Ingest(batch);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ASSERT_TRUE(actual.ok()) << actual.status();
+    const std::vector<FleetStreamUpdate>& eu = expected.value().updates;
+    const std::vector<FleetStreamUpdate>& au = actual.value().updates;
+    ASSERT_EQ(eu.size(), au.size()) << "batch " << k;
+    for (std::size_t u = 0; u < eu.size(); ++u) {
+      SCOPED_TRACE(::testing::Message() << "batch " << k << " update " << u);
+      EXPECT_EQ(eu[u].stream, au[u].stream);
+      ExpectReportBitIdentical(eu[u].update, au[u].update);
+      ++reports;
+    }
+  }
+  EXPECT_EQ(poison.size(), next);
+  EXPECT_GT(reports, 20);
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    EXPECT_EQ(clean.WindowTrajectory(s).points(),
+              poisoned.WindowTrajectory(s).points());
+    EXPECT_EQ(clean.ingest_stats(s).released,
+              poisoned.ingest_stats(s).released);
+  }
+  const FleetStats e = clean.stats();
+  const FleetStats a = poisoned.stats();
+  EXPECT_EQ(e.points_ingested, a.points_ingested);
+  EXPECT_EQ(e.searches, a.searches);
+  EXPECT_EQ(e.ground_distances_computed, a.ground_distances_computed);
+  EXPECT_EQ(e.dfd_cells_computed, a.dfd_cells_computed);
 }
 
 }  // namespace

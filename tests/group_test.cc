@@ -27,7 +27,7 @@ MotifOptions Options(Index xi, bool single) {
 
 TEST(GroupingTest, GroupBoundariesCoverAllPoints) {
   const DistanceMatrix dg = MakeRandomSelfMatrix(13, 1);  // 13 = 4*3+1
-  const Grouping g = Grouping::Build(dg, Options(2, true), 4);
+  const Grouping g = Grouping::Build(dg.View(), Options(2, true), 4);
   EXPECT_EQ(g.num_row_groups(), 4);
   EXPECT_EQ(g.RowFirst(0), 0);
   EXPECT_EQ(g.RowLast(0), 3);
@@ -37,7 +37,7 @@ TEST(GroupingTest, GroupBoundariesCoverAllPoints) {
 
 TEST(GroupingTest, EnvelopesMatchBruteForceScan) {
   const DistanceMatrix dg = MakeRandomSelfMatrix(22, 5);
-  const Grouping g = Grouping::Build(dg, Options(2, true), 4);
+  const Grouping g = Grouping::Build(dg.View(), Options(2, true), 4);
   for (Index u = 0; u < g.num_row_groups(); ++u) {
     for (Index v = 0; v < g.num_col_groups(); ++v) {
       double lo = kInf;
@@ -56,7 +56,7 @@ TEST(GroupingTest, EnvelopesMatchBruteForceScan) {
 
 TEST(GroupingTest, CorollaryOneSandwich) {
   const DistanceMatrix dg = MakeRandomSelfMatrix(20, 9);
-  const Grouping g = Grouping::Build(dg, Options(2, true), 5);
+  const Grouping g = Grouping::Build(dg.View(), Options(2, true), 5);
   for (Index u = 0; u < g.num_row_groups(); ++u) {
     for (Index v = 0; v < g.num_col_groups(); ++v) {
       for (Index i = g.RowFirst(u); i <= g.RowLast(u); ++i) {
@@ -82,7 +82,7 @@ TEST_P(GroupBoundSoundnessTest, GroupBoundsSandwichCandidates) {
   const DistanceMatrix dg = single ? MakeRandomSelfMatrix(n, seed)
                                    : MakeRandomCrossMatrix(n, n, seed);
   const MotifOptions options = Options(xi, single);
-  const Grouping g = Grouping::Build(dg, options, tau);
+  const Grouping g = Grouping::Build(dg.View(), options, tau);
 
   for (Index u = 0; u < g.num_row_groups(); ++u) {
     for (Index v = 0; v < g.num_col_groups(); ++v) {
@@ -137,7 +137,7 @@ TEST(GroupingTest, AdmitsCandidateMatchesPointLevelScan) {
   for (const bool single : {true, false}) {
     const DistanceMatrix dg = MakeRandomSelfMatrix(n, 4);
     const MotifOptions options = Options(3, single);
-    const Grouping g = Grouping::Build(dg, options, 4);
+    const Grouping g = Grouping::Build(dg.View(), options, 4);
     for (Index u = 0; u < g.num_row_groups(); ++u) {
       for (Index v = 0; v < g.num_col_groups(); ++v) {
         bool expect = false;
@@ -158,7 +158,7 @@ TEST(GroupingTest, AdmitsCandidateMatchesPointLevelScan) {
 
 TEST(GroupingTest, TauOneEnvelopesEqualGroundDistance) {
   const DistanceMatrix dg = MakeRandomSelfMatrix(15, 2);
-  const Grouping g = Grouping::Build(dg, Options(2, true), 1);
+  const Grouping g = Grouping::Build(dg.View(), Options(2, true), 1);
   for (Index i = 0; i < 15; ++i) {
     for (Index j = 0; j < 15; ++j) {
       EXPECT_DOUBLE_EQ(g.Dmin(i, j), dg.Distance(i, j));
@@ -170,7 +170,7 @@ TEST(GroupingTest, TauOneEnvelopesEqualGroundDistance) {
 TEST(GroupingTest, CrossAndBandDeactivateForLargeTau) {
   const DistanceMatrix dg = MakeRandomSelfMatrix(40, 3);
   // tau > xi+1: crossing the neighbouring group is not guaranteed.
-  const Grouping g = Grouping::Build(dg, Options(3, true), 8);
+  const Grouping g = Grouping::Build(dg.View(), Options(3, true), 8);
   EXPECT_EQ(g.CrossLb(0, 2), -kInf);
   EXPECT_EQ(g.BandLb(0, 2), -kInf);
   // The combined pattern bound then falls back to the cell bound.

@@ -45,7 +45,7 @@ TEST_P(DatasetAgreementTest, AllAlgorithmsAgreeSingleTrajectory) {
     }
     // The reported pair must reproduce the reported distance.
     const Candidate c = r.value().best;
-    const OnTheFlyDistance dist(s, Haversine());
+    const DistanceMatrix dist = DistanceMatrix::Build(s, Haversine()).value();
     EXPECT_DOUBLE_EQ(
         DiscreteFrechetOnRange(dist, c.i, c.ie, c.j, c.je).value(),
         r.value().distance);

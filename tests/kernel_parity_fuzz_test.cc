@@ -29,6 +29,7 @@ using testing_util::FuzzSeed;
 using testing_util::MakePlanarWalk;
 using testing_util::MakeRandomCrossMatrix;
 using testing_util::MakeRandomSelfMatrix;
+using testing_util::ReferenceRangeDfd;
 
 /// Every level the running build and CPU can execute, scalar first. With
 /// FRECHET_MOTIF_SIMD=OFF (or FMOTIF_SIMD=scalar) this is just {scalar} —
@@ -62,15 +63,21 @@ double RangeDfdAtLevel(const DistanceMatrix& m, Index i, Index ie, Index j,
 }
 
 /// Asserts the full parity + threshold-contract bundle for one range:
-///  * every SIMD level returns the scalar kernel's bits, per threshold;
-///  * the generic (virtual-dispatch) kernel agrees too — it shares the
-///    early-exit schedule, so even above-threshold lower bounds match;
+///  * the exact scalar value equals the independent full-table oracle
+///    (testing_util::ReferenceRangeDfd), which shares no code with the
+///    kernels under test;
+///  * every SIMD level returns the scalar kernel's bits, per threshold —
+///    they share the early-exit schedule, so even above-threshold lower
+///    bounds match;
 ///  * a value <= threshold is the exact DFD, a value above it is a lower
 ///    bound that itself exceeds the threshold (the documented contract).
 void CheckRange(const DistanceMatrix& m, Index i, Index ie, Index j, Index je,
                 const std::vector<SimdLevel>& levels) {
   const double exact =
       RangeDfdAtLevel(m, i, ie, j, je, kNoFrechetThreshold, SimdLevel::kScalar);
+  ASSERT_EQ(ReferenceRangeDfd(m, i, ie, j, je), exact)
+      << "kernel/oracle divergence at range (" << i << ".." << ie << ", " << j
+      << ".." << je << ")";
   const double thresholds[] = {kNoFrechetThreshold,
                                0.0,
                                0.5 * exact,
@@ -78,15 +85,8 @@ void CheckRange(const DistanceMatrix& m, Index i, Index ie, Index j, Index je,
                                std::nextafter(exact, 0.0),
                                1.0000001 * exact + 1e-9};
   for (const double threshold : thresholds) {
-    FrechetScratch scratch;
     const double scalar =
         RangeDfdAtLevel(m, i, ie, j, je, threshold, SimdLevel::kScalar);
-    const double generic =
-        DiscreteFrechetOnRangeGeneric(m, i, ie, j, je, threshold, &scratch)
-            .value();
-    ASSERT_EQ(scalar, generic)
-        << "generic/matrix divergence at range (" << i << ".." << ie << ", "
-        << j << ".." << je << ") threshold " << threshold;
     for (const SimdLevel level : levels) {
       const double got = RangeDfdAtLevel(m, i, ie, j, je, threshold, level);
       ASSERT_EQ(scalar, got)

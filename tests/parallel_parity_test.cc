@@ -1,9 +1,9 @@
-// Parity suite for the PR-2 performance work: the monomorphized
-// DistanceMatrix fast path, the threshold early-exit contract, and the
-// thread-pooled search must all return results identical to the canonical
-// serial / virtual-dispatch implementations — on adversarial random
-// matrices, on the paper's Figure 5 worked example, and on the
-// planted-motif generator.
+// Parity suite for the performance work: the DistanceMatrix DFD kernels,
+// the threshold early-exit contract, and the thread-pooled search must all
+// return results identical to an independent full-table reference and to
+// the canonical serial implementations — on adversarial random matrices,
+// on the paper's Figure 5 worked example, and on the planted-motif
+// generator.
 
 #include <gtest/gtest.h>
 
@@ -22,17 +22,19 @@
 #include "similarity/frechet.h"
 #include "test_util.h"
 #include "util/random.h"
+#include "util/simd.h"
 
 namespace frechet_motif {
 namespace {
 
 using testing_util::MakeRandomCrossMatrix;
 using testing_util::MakeRandomSelfMatrix;
+using testing_util::ReferenceRangeDfd;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // ---------------------------------------------------------------------------
-// Monomorphized fast path vs generic virtual-dispatch kernel.
+// Matrix kernel vs the generic full-table reference (test_util.h).
 // ---------------------------------------------------------------------------
 
 TEST(FastPathParityTest, MatchesGenericOnRandomRanges) {
@@ -45,30 +47,16 @@ TEST(FastPathParityTest, MatchesGenericOnRandomRanges) {
     const Index j = static_cast<Index>(rng.NextInt(0, n - 1));
     const Index je = static_cast<Index>(rng.NextInt(j, n - 1));
     const double fast = DiscreteFrechetOnRange(dg, i, ie, j, je).value();
-    const double generic =
-        DiscreteFrechetOnRangeGeneric(dg, i, ie, j, je).value();
-    // Same recurrence, same operation order: bit-identical, not just close.
-    EXPECT_EQ(fast, generic) << "range (" << i << "," << ie << "," << j << ","
-                             << je << ")";
-  }
-}
-
-TEST(FastPathParityTest, ProviderOverloadDispatchesToMatrixPath) {
-  // The DistanceProvider& overload must agree with both explicit paths.
-  const DistanceMatrix dg = MakeRandomSelfMatrix(24, 77);
-  const DistanceProvider& as_provider = dg;
-  for (Index span : {3, 7, 15}) {
-    const double via_provider =
-        DiscreteFrechetOnRange(as_provider, 0, span, 4, 4 + span).value();
-    const double via_matrix =
-        DiscreteFrechetOnRange(dg, 0, span, 4, 4 + span).value();
-    EXPECT_EQ(via_provider, via_matrix);
+    const double reference = ReferenceRangeDfd(dg, i, ie, j, je);
+    // min/max select input values exactly: bit-identical, not just close.
+    EXPECT_EQ(fast, reference) << "range (" << i << "," << ie << "," << j
+                               << "," << je << ")";
   }
 }
 
 TEST(FastPathParityTest, WorkedExampleFigure5Values) {
   // The hand-derived dF values of the Figure 5 worked example, through the
-  // monomorphized path, the generic path and the scratch-reusing path.
+  // matrix kernel, the full-table reference and the scratch-reusing path.
   // clang-format off
   const std::vector<double> values = {
       0, 4, 6, 5, 5, 3, 9, 7,
@@ -93,9 +81,7 @@ TEST(FastPathParityTest, WorkedExampleFigure5Values) {
   for (const auto& c : cases) {
     EXPECT_DOUBLE_EQ(
         DiscreteFrechetOnRange(dg, c.i, c.ie, c.j, c.je).value(), c.expect);
-    EXPECT_DOUBLE_EQ(
-        DiscreteFrechetOnRangeGeneric(dg, c.i, c.ie, c.j, c.je).value(),
-        c.expect);
+    EXPECT_DOUBLE_EQ(ReferenceRangeDfd(dg, c.i, c.ie, c.j, c.je), c.expect);
     EXPECT_DOUBLE_EQ(DiscreteFrechetOnRange(dg, c.i, c.ie, c.j, c.je,
                                             kNoFrechetThreshold, &scratch)
                          .value(),
@@ -115,21 +101,22 @@ TEST(FastPathParityTest, ScratchSharedAcrossKernelsStaysConsistent) {
   FrechetScratch shared;
 
   SearchState narrow;
-  EvaluateSubset(dg, options, 0, 40, nullptr, false, EndpointCaps{}, &narrow,
-                 nullptr, &shared);  // width 24
+  EvaluateSubset(dg.View(), options, 0, 40, nullptr, false, EndpointCaps{},
+                 &narrow, nullptr, &shared);  // width 24
   const double wide_range =
       DiscreteFrechetOnRange(dg, 0, 50, 5, 60, kNoFrechetThreshold, &shared)
           .value();  // grows row past prev
   SearchState mid;
-  EvaluateSubset(dg, options, 0, 30, nullptr, false, EndpointCaps{}, &mid,
-                 nullptr, &shared);  // width 34, after a swap-induced skew
+  // Width 34, after a swap-induced skew.
+  EvaluateSubset(dg.View(), options, 0, 30, nullptr, false, EndpointCaps{},
+                 &mid, nullptr, &shared);
 
   FrechetScratch fresh1, fresh2;
   SearchState narrow_ref, mid_ref;
-  EvaluateSubset(dg, options, 0, 40, nullptr, false, EndpointCaps{},
+  EvaluateSubset(dg.View(), options, 0, 40, nullptr, false, EndpointCaps{},
                  &narrow_ref, nullptr, &fresh1);
-  EvaluateSubset(dg, options, 0, 30, nullptr, false, EndpointCaps{}, &mid_ref,
-                 nullptr, &fresh2);
+  EvaluateSubset(dg.View(), options, 0, 30, nullptr, false, EndpointCaps{},
+                 &mid_ref, nullptr, &fresh2);
   EXPECT_EQ(narrow.best_distance, narrow_ref.best_distance);
   EXPECT_EQ(mid.best_distance, mid_ref.best_distance);
   EXPECT_EQ(wide_range, DiscreteFrechetOnRange(dg, 0, 50, 5, 60).value());
@@ -172,13 +159,17 @@ TEST(ThresholdEarlyExitTest, ExactBelowThresholdLowerBoundAbove) {
 }
 
 TEST(ThresholdEarlyExitTest, GenericPathHonorsTheSameContract) {
+  // The scalar level runs the generic recurrence template (FrechetDpKernel)
+  // over the matrix rather than an explicit-SIMD kernel.
+  SetSimdLevelCap(SimdLevel::kScalar);
   const DistanceMatrix dg = MakeRandomSelfMatrix(30, 4242);
-  const double exact = DiscreteFrechetOnRangeGeneric(dg, 0, 20, 5, 28).value();
-  const double tight =
-      DiscreteFrechetOnRangeGeneric(dg, 0, 20, 5, 28, exact).value();
+  const double exact = DiscreteFrechetOnRange(dg, 0, 20, 5, 28).value();
+  const double tight = DiscreteFrechetOnRange(dg, 0, 20, 5, 28, exact).value();
   EXPECT_EQ(tight, exact);  // threshold == DFD: no early exit possible
   const double below =
-      DiscreteFrechetOnRangeGeneric(dg, 0, 20, 5, 28, exact * 0.25).value();
+      DiscreteFrechetOnRange(dg, 0, 20, 5, 28, exact * 0.25).value();
+  ClearSimdLevelCap();
+  EXPECT_EQ(exact, ReferenceRangeDfd(dg, 0, 20, 5, 28));
   EXPECT_EQ(below > exact * 0.25, true);
   EXPECT_LE(below, exact);
 }

@@ -230,7 +230,7 @@ TEST(StreamParityFuzz, CrossBoundsMatchFreshBuildUnderTwoSidedSchedules) {
       const Trajectory wa = monitor.value().WindowTrajectory();
       const Trajectory wb = monitor.value().SecondWindowTrajectory();
       const DistanceMatrix dg = DistanceMatrix::Build(wa, wb, metric).value();
-      const RelaxedBounds fresh = RelaxedBounds::Build(dg, motif);
+      const RelaxedBounds fresh = RelaxedBounds::Build(dg.View(), motif);
       const RelaxedBounds maintained = monitor.value().CurrentBounds();
       for (Index j = 0; j < wb.size(); ++j) {
         ASSERT_EQ(fresh.Rmin(j), maintained.Rmin(j)) << "Rmin " << j;

@@ -113,7 +113,7 @@ TEST(StreamingBounds, MaintainedArraysEqualFreshBuildAtEverySlide) {
     if (!update.value().has_value()) continue;
     const Trajectory window = monitor.value().WindowTrajectory();
     const DistanceMatrix dg = DistanceMatrix::Build(window, metric).value();
-    const RelaxedBounds fresh = RelaxedBounds::Build(dg, motif);
+    const RelaxedBounds fresh = RelaxedBounds::Build(dg.View(), motif);
     const RelaxedBounds maintained = monitor.value().CurrentBounds();
     const Index w = options.window_length;
     for (Index j = 0; j < w; ++j) {

@@ -1,6 +1,7 @@
 #ifndef FRECHET_MOTIF_TESTS_TEST_UTIL_H_
 #define FRECHET_MOTIF_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -44,8 +45,8 @@ inline int FuzzRounds(int default_rounds) {
 }
 
 /// Random non-negative symmetric "ground distance" matrix with zero
-/// diagonal (n x n). The motif algorithms only read dG through the
-/// DistanceProvider interface, so algorithm-agreement tests can use
+/// diagonal (n x n). The motif algorithms only read dG through a
+/// DistanceMatrix (its MatrixView), so algorithm-agreement tests can use
 /// arbitrary matrices — adversarial inputs that real metrics rarely
 /// produce.
 inline DistanceMatrix MakeRandomSelfMatrix(Index n, std::uint64_t seed,
@@ -71,6 +72,37 @@ inline DistanceMatrix MakeRandomCrossMatrix(Index n, Index m,
   std::vector<double> values(static_cast<std::size_t>(n) * m);
   for (double& v : values) v = rng.NextDouble(0.0, scale);
   return DistanceMatrix::FromValues(n, m, std::move(values)).value();
+}
+
+/// Independent DFD reference over rows i..ie and columns j..je of `dg`:
+/// fills the whole dF table with the textbook recurrence (Eiter & Mannila
+/// 1994) — no rolling rows, no threshold, no SIMD — so it shares no code
+/// with the library kernels it checks. min/max only ever select one of the
+/// input values, so it agrees with every kernel bit for bit on NaN-free
+/// input.
+inline double ReferenceRangeDfd(const DistanceMatrix& dg, Index i, Index ie,
+                                Index j, Index je) {
+  const Index la = ie - i + 1;
+  const Index lb = je - j + 1;
+  std::vector<double> f(static_cast<std::size_t>(la) * lb);
+  const auto at = [&](Index p, Index q) -> double& {
+    return f[static_cast<std::size_t>(p) * lb + q];
+  };
+  for (Index p = 0; p < la; ++p) {
+    for (Index q = 0; q < lb; ++q) {
+      const double d = dg.Distance(i + p, j + q);
+      double reach = d;
+      if (p > 0 && q > 0) {
+        reach = std::min({at(p - 1, q), at(p - 1, q - 1), at(p, q - 1)});
+      } else if (p > 0) {
+        reach = at(p - 1, q);
+      } else if (q > 0) {
+        reach = at(p, q - 1);
+      }
+      at(p, q) = std::max(d, reach);
+    }
+  }
+  return at(la - 1, lb - 1);
 }
 
 /// Small planar random-walk trajectory (coordinates in meters, for use

@@ -86,7 +86,7 @@ TEST(WorkedExampleTest, NonMonotonicityWitness) {
 TEST(WorkedExampleTest, CellBound) {
   const DistanceMatrix dg = WorkedMatrix();
   // LB_cell(0,4) = dG(0,4) = 5; the candidate (0,2,4,6) has DFD 6 >= 5.
-  EXPECT_DOUBLE_EQ(LbCell(dg, 0, 4), 5.0);
+  EXPECT_DOUBLE_EQ(LbCell(dg.View(), 0, 4), 5.0);
 }
 
 TEST(WorkedExampleTest, TightCrossBounds) {
@@ -94,26 +94,26 @@ TEST(WorkedExampleTest, TightCrossBounds) {
   const MotifOptions options = XiOne();
   // LB_row(0,4) = min over c in [0, j-1]=[0,3] of dG(c, 5)
   //             = min(3, 7, 1, 9) = 1.
-  EXPECT_DOUBLE_EQ(LbRow(dg, options, 0, 4), 1.0);
+  EXPECT_DOUBLE_EQ(LbRow(dg.View(), options, 0, 4), 1.0);
   // LB_col(0,4) = min over r in [4,7] of dG(1, r) = min(2, 7, 4, 8) = 2.
-  EXPECT_DOUBLE_EQ(LbCol(dg, options, 0, 4), 2.0);
+  EXPECT_DOUBLE_EQ(LbCol(dg.View(), options, 0, 4), 2.0);
   // Cross = max(1, 2) = 2.
-  EXPECT_DOUBLE_EQ(LbStartCross(dg, options, 0, 4), 2.0);
+  EXPECT_DOUBLE_EQ(LbStartCross(dg.View(), options, 0, 4), 2.0);
 }
 
 TEST(WorkedExampleTest, TightBandBoundsWithXiOne) {
   const DistanceMatrix dg = WorkedMatrix();
   const MotifOptions options = XiOne();
   // With xi = 1 the band windows have width one, so band == cross parts.
-  EXPECT_DOUBLE_EQ(LbRowBand(dg, options, 0, 4),
-                   LbRow(dg, options, 0, 4));
-  EXPECT_DOUBLE_EQ(LbColBand(dg, options, 0, 4),
-                   LbCol(dg, options, 0, 4));
+  EXPECT_DOUBLE_EQ(LbRowBand(dg.View(), options, 0, 4),
+                   LbRow(dg.View(), options, 0, 4));
+  EXPECT_DOUBLE_EQ(LbColBand(dg.View(), options, 0, 4),
+                   LbCol(dg.View(), options, 0, 4));
 }
 
 TEST(WorkedExampleTest, RelaxedBoundArrays) {
   const DistanceMatrix dg = WorkedMatrix();
-  const RelaxedBounds rb = RelaxedBounds::Build(dg, XiOne());
+  const RelaxedBounds rb = RelaxedBounds::Build(dg.View(), XiOne());
   // Rmin[4] = min over c in [0, 3] of dG(c, 5) = min(3,7,1,9) = 1.
   EXPECT_DOUBLE_EQ(rb.Rmin(4), 1.0);
   // CminStart[0] = min over r in [3, 7] of dG(1, r)
@@ -135,9 +135,9 @@ TEST(WorkedExampleTest, EndCrossBound) {
   // LB_end_cross(0,4, ie=1, je=5): candidates of CS(0,4) ending beyond
   // (1,5) cross row 6 at c in [0,3] -> min(9,4,6,3) = 3, and column 2 at
   // r in [4,7] -> min(8,1,6,2) = 1. Bound = max(3,1) = 3.
-  EXPECT_DOUBLE_EQ(LbEndCross(dg, options, 0, 4, 1, 5), 3.0);
+  EXPECT_DOUBLE_EQ(LbEndCross(dg.View(), options, 0, 4, 1, 5), 3.0);
   // The only candidate of CS(0,4) beyond (1,5) is (0,2,4,6) with DFD 6.
-  EXPECT_LE(LbEndCross(dg, options, 0, 4, 1, 5),
+  EXPECT_LE(LbEndCross(dg.View(), options, 0, 4, 1, 5),
             DiscreteFrechetOnRange(dg, 0, 2, 4, 6).value());
 }
 
