@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -96,11 +97,11 @@ std::vector<KernelResult> RunAll(const BenchConfig& config) {
   }));
 
   // -- The DFD kernel: per SIMD level, with and without early exit ----
-  // Each matrix-path row carries the SIMD level it dispatched to
-  // (0=scalar 1=sse2 2=avx2 3=avx512) so the committed JSON records what
-  // the numbers mean; *_scalar rows pin the level to 0 via the
-  // programmatic cap, isolating the vectorization speedup.
-  const double simd_level = static_cast<double>(ActiveSimdLevel());
+  // Each row not pinned to scalar carries the SIMD level it dispatched
+  // to (0=scalar 2=avx2) so the committed JSON records what the numbers
+  // mean. *_scalar rows pin the level to 0 via the programmatic cap,
+  // isolating the vectorization speedup.
+  const SimdLevel active = ActiveSimdLevel();
   const std::vector<Index> range_lengths =
       config.smoke ? std::vector<Index>{32, 64}
                    : std::vector<Index>{64, 128, 256};
@@ -110,40 +111,24 @@ std::vector<KernelResult> RunAll(const BenchConfig& config) {
     const auto range_exact =
         DiscreteFrechetOnRange(dg, i0, i0 + len - 1, j0, j0 + len - 1)
             .value();
-    results.push_back(Measure("dfd_on_range_matrix", len, 1, budget, [&] {
-      g_sink += DiscreteFrechetOnRange(dg, i0, i0 + len - 1, j0,
-                                       j0 + len - 1, kNoFrechetThreshold,
-                                       &scratch)
-                    .value();
-    }));
-    results.back().extras["simd_level"] = simd_level;
-    SetSimdLevelCap(SimdLevel::kScalar);
-    results.push_back(
-        Measure("dfd_on_range_matrix_scalar", len, 1, budget, [&] {
-          g_sink += DiscreteFrechetOnRange(dg, i0, i0 + len - 1, j0,
-                                           j0 + len - 1, kNoFrechetThreshold,
-                                           &scratch)
-                        .value();
-        }));
-    ClearSimdLevelCap();
-    results.push_back(
-        Measure("dfd_on_range_matrix_threshold", len, 1, budget, [&] {
-          g_sink += DiscreteFrechetOnRange(dg, i0, i0 + len - 1, j0,
-                                           j0 + len - 1, range_exact * 0.5,
-                                           &scratch)
-                        .value();
-        }));
-    results.back().extras["simd_level"] = simd_level;
-    SetSimdLevelCap(SimdLevel::kScalar);
-    results.push_back(Measure("dfd_on_range_matrix_threshold_scalar", len, 1,
-                              budget, [&] {
-                                g_sink += DiscreteFrechetOnRange(
-                                              dg, i0, i0 + len - 1, j0,
-                                              j0 + len - 1, range_exact * 0.5,
-                                              &scratch)
-                                              .value();
-                              }));
-    ClearSimdLevelCap();
+    const auto measure_range = [&](const std::string& name, double threshold,
+                                   SimdLevel level) {
+      SetSimdLevelCap(level);
+      results.push_back(Measure(name, len, 1, budget, [&] {
+        g_sink += DiscreteFrechetOnRange(dg, i0, i0 + len - 1, j0,
+                                         j0 + len - 1, threshold, &scratch)
+                      .value();
+      }));
+      ClearSimdLevelCap();
+    };
+    const std::pair<std::string, double> variants[] = {
+        {"dfd_on_range_matrix", kNoFrechetThreshold},
+        {"dfd_on_range_matrix_threshold", range_exact * 0.5}};
+    for (const auto& [name, threshold] : variants) {
+      measure_range(name, threshold, active);
+      results.back().extras["simd_level"] = static_cast<double>(active);
+      measure_range(name + "_scalar", threshold, SimdLevel::kScalar);
+    }
   }
 
   // -- Whole-trajectory kernels ---------------------------------------

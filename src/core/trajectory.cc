@@ -1,5 +1,6 @@
 #include "core/trajectory.h"
 
+#include <cmath>
 #include <utility>
 
 namespace frechet_motif {
@@ -11,27 +12,34 @@ Trajectory::Trajectory(std::vector<Point> points,
                        std::vector<double> timestamps)
     : points_(std::move(points)), timestamps_(std::move(timestamps)) {}
 
+Status ValidateArrival(const Point& p, const double* timestamp) {
+  if (!p.IsFinite()) return Status::InvalidArgument("non-finite coordinate");
+  if (timestamp != nullptr && !std::isfinite(*timestamp)) {
+    return Status::InvalidArgument("non-finite timestamp");
+  }
+  return Status::Ok();
+}
+
 StatusOr<Trajectory> Trajectory::Create(std::vector<Point> points,
                                         std::vector<double> timestamps) {
+  const bool timed = !timestamps.empty();
+  if (timed && timestamps.size() != points.size()) {
+    return Status::InvalidArgument(
+        "timestamp count (" + std::to_string(timestamps.size()) +
+        ") does not match point count (" + std::to_string(points.size()) +
+        ")");
+  }
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!points[i].IsFinite()) {
-      return Status::InvalidArgument("non-finite coordinate at point " +
+    const Status arrival =
+        ValidateArrival(points[i], timed ? &timestamps[i] : nullptr);
+    if (!arrival.ok()) {
+      return Status::InvalidArgument(arrival.message() + " at point " +
                                      std::to_string(i));
     }
-  }
-  if (!timestamps.empty()) {
-    if (timestamps.size() != points.size()) {
+    if (i > 0 && timed && !(timestamps[i] > timestamps[i - 1])) {
       return Status::InvalidArgument(
-          "timestamp count (" + std::to_string(timestamps.size()) +
-          ") does not match point count (" + std::to_string(points.size()) +
-          ")");
-    }
-    for (std::size_t i = 1; i < timestamps.size(); ++i) {
-      if (!(timestamps[i] > timestamps[i - 1])) {
-        return Status::InvalidArgument(
-            "timestamps must be strictly ascending; violated at index " +
-            std::to_string(i));
-      }
+          "timestamps must be strictly ascending; violated at index " +
+          std::to_string(i));
     }
   }
   return Trajectory(std::move(points), std::move(timestamps));

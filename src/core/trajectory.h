@@ -31,7 +31,7 @@ class Trajectory {
   /// Prefer FromPointsAndTimes, which validates.
   Trajectory(std::vector<Point> points, std::vector<double> timestamps);
 
-  /// Validating factory: checks that all coordinates are finite and that
+  /// Validating factory: checks every point with ValidateArrival and that
   /// timestamps (when provided) match the point count and ascend strictly.
   static StatusOr<Trajectory> Create(std::vector<Point> points,
                                      std::vector<double> timestamps = {});
@@ -74,6 +74,15 @@ class Trajectory {
   std::vector<Point> points_;
   std::vector<double> timestamps_;
 };
+
+/// The finiteness check every arrival path (Trajectory::Create, the
+/// streaming window, the reorder frontend, the fleet engines and the
+/// serve row parser) runs before it changes any state: both coordinates
+/// finite and, when `timestamp` is non-null, a finite timestamp. A NaN
+/// coordinate would poison a whole row and column of dG; a NaN stamp
+/// breaks timestamp ordering and an infinite one disables late-drop.
+/// Returns InvalidArgument naming what is non-finite.
+Status ValidateArrival(const Point& p, const double* timestamp);
 
 /// A half-open reference to a subtrajectory S[first..last] of a trajectory
 /// owned elsewhere; cheap to copy. Used in results.

@@ -169,11 +169,11 @@ StatusOr<FleetReport> DurableFleet::CommitBatch(
 
 StatusOr<FleetReport> DurableFleet::Ingest(
     const std::vector<FleetArrival>& batch) {
+  // Validated whole before any frontend moves: a bad arrival must not
+  // strand earlier ones as released-but-never-journaled.
+  FM_RETURN_IF_ERROR(engine_.CheckBatch(batch));
   std::vector<FleetArrival> released;
   for (const FleetArrival& a : batch) {
-    if (a.stream >= frontends_.size()) {
-      return Status::InvalidArgument("arrival routed to unknown stream");
-    }
     const double* ts = a.has_timestamp ? &a.timestamp : nullptr;
     FM_RETURN_IF_ERROR(frontends_[a.stream].Offer(
         a.point, ts, [&](const Point& p, const double* timestamp) {

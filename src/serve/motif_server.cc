@@ -1,7 +1,6 @@
 #include "serve/motif_server.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -446,11 +445,11 @@ void MotifServer::HandleLine(ConnId id, Conn& c, const std::string& raw,
     case CsvRow::kPoint:
       break;
   }
-  if (!arrival.point.IsFinite() ||
-      (arrival.has_timestamp && !std::isfinite(arrival.timestamp))) {
+  const Status finite = ValidateArrival(
+      arrival.point, arrival.has_timestamp ? &arrival.timestamp : nullptr);
+  if (!finite.ok()) {
     ++stats_.parse_errors;
-    QueueError(id, c, "parse", "non-finite coordinate or timestamp",
-               now_ms);
+    QueueError(id, c, "parse", finite.message(), now_ms);
     return;
   }
   if (arrival.stream >= options_.limits.max_streams) {

@@ -9,19 +9,11 @@ namespace frechet_motif {
 
 Status IngestFrontend::Offer(const Point& p, const double* timestamp,
                              const Sink& sink) {
-  // The whole point of the frontend is timestamp ordering; NaN breaks the
-  // buffer's strict weak ordering (UB in the multimap) and a NaN/inf
-  // watermark silently disables late-drop, so non-finite stamps are
-  // rejected at the door.
-  if (timestamp != nullptr && !std::isfinite(*timestamp)) {
-    return Status::InvalidArgument(
-        "stream timestamps must be finite (got NaN or infinity)");
-  }
-  // A non-finite coordinate would otherwise advance the watermark (or sit
-  // in the buffer) before the window refuses it on release.
-  if (!p.IsFinite()) {
-    return Status::InvalidArgument("non-finite coordinate in streamed point");
-  }
+  // A NaN stamp breaks the buffer's strict weak ordering (UB in the
+  // multimap), and a non-finite coordinate would otherwise advance the
+  // watermark (or sit in the buffer) before the window refuses it on
+  // release, so both are rejected at the door.
+  FM_RETURN_IF_ERROR(ValidateArrival(p, timestamp));
   if (capacity_ <= 0 || timestamp == nullptr) {
     if (!buffer_.empty()) {
       return Status::InvalidArgument(

@@ -213,8 +213,19 @@ Status MotifFleetEngine::DrainInternal(FleetReport* report) {
   return Status::Ok();
 }
 
+Status MotifFleetEngine::CheckBatch(
+    const std::vector<FleetArrival>& batch) const {
+  for (const FleetArrival& arrival : batch) {
+    FM_RETURN_IF_ERROR(CheckStream(arrival.stream));
+    FM_RETURN_IF_ERROR(ValidateArrival(
+        arrival.point, arrival.has_timestamp ? &arrival.timestamp : nullptr));
+  }
+  return Status::Ok();
+}
+
 StatusOr<FleetReport> MotifFleetEngine::Ingest(
     const std::vector<FleetArrival>& batch) {
+  FM_RETURN_IF_ERROR(CheckBatch(batch));
   FleetReport report;
   // One sink for the whole batch (a std::function per point would heap-
   // allocate on the hot arrival loop); the captured stream id is advanced
@@ -225,7 +236,6 @@ StatusOr<FleetReport> MotifFleetEngine::Ingest(
     return Deliver(stream, p, ts, &report);
   };
   for (const FleetArrival& arrival : batch) {
-    FM_RETURN_IF_ERROR(CheckStream(arrival.stream));
     stream = arrival.stream;
     FM_RETURN_IF_ERROR(frontends_[stream].Offer(
         arrival.point, arrival.has_timestamp ? &arrival.timestamp : nullptr,

@@ -209,8 +209,13 @@ class MotifFleetEngine {
   /// Ingests a batch through one arrival loop: appends every point (via
   /// its stream's frontend), then drains due searches per the scheduling
   /// mode and ticks the join. See the file comment for the two modes'
-  /// guarantees.
+  /// guarantees. The batch passes CheckBatch before anything is applied.
   StatusOr<FleetReport> Ingest(const std::vector<FleetArrival>& batch);
+
+  /// InvalidArgument unless every arrival names a known stream and passes
+  /// ValidateArrival. Changes nothing, so an ingest path that runs it
+  /// first leaves no partial batch behind a bad arrival.
+  Status CheckBatch(const std::vector<FleetArrival>& batch) const;
 
   /// Single-arrival conveniences (one-element Ingest).
   StatusOr<FleetReport> Push(std::size_t stream, const Point& p);

@@ -46,11 +46,9 @@ MotifOptions WindowState::SearchMotifOptions() const {
 }
 
 Status WindowState::Append(int side, const Point& p, const double* timestamp) {
-  // A non-finite coordinate would poison a whole ring row and column (and
-  // the bounds read from them), so it is refused before anything moves.
-  if (!p.IsFinite()) {
-    return Status::InvalidArgument("non-finite coordinate in streamed point");
-  }
+  // Refused before anything moves: a non-finite coordinate would poison
+  // a whole ring row and column (and the bounds read from them).
+  FM_RETURN_IF_ERROR(ValidateArrival(p, timestamp));
   std::deque<Point>& window = side == 0 ? window_ : second_window_;
   std::deque<SphereVec>& vecs = side == 0 ? vecs_ : second_vecs_;
   std::deque<double>& times = side == 0 ? times_ : second_times_;

@@ -158,8 +158,8 @@ class WindowState {
   /// mode only): evicts when full, extends the ring matrix with the fresh
   /// ground distances, and advances the slide accounting. `timestamp` may
   /// be null; mixing timestamped and bare appends on one side is an error.
-  /// A point with a NaN or infinite coordinate is rejected with
-  /// InvalidArgument, as Trajectory::Create rejects it. A rejected append
+  /// An arrival ValidateArrival refuses (NaN or infinite coordinate or
+  /// timestamp) is rejected with InvalidArgument. A rejected append
   /// changes no state.
   Status Append(int side, const Point& p, const double* timestamp);
 

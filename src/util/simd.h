@@ -4,54 +4,45 @@
 /// Runtime SIMD dispatch for the vectorized kernels (currently the
 /// discrete-Fréchet DP in src/similarity/frechet.cc).
 ///
-/// The portable build (default) compiles SSE2 and AVX2 variants as
-/// target-attribute functions next to the always-present scalar kernel,
-/// so one baseline x86-64 binary carries every path and picks the widest
-/// one the running CPU supports. `FRECHET_MOTIF_NATIVE=ON` additionally
-/// compiles the 512-bit variant (wider vectors only pay off when the
-/// whole binary is tuned for the host anyway). `FRECHET_MOTIF_SIMD=OFF`
-/// removes every vector path at compile time — the scalar fallback is
-/// the same code either way.
+/// The default build compiles an AVX2 variant as a target-attribute
+/// function next to the always-present scalar kernel, so one baseline
+/// x86-64 binary carries both paths and runs AVX2 when the CPU supports
+/// it. `FRECHET_MOTIF_SIMD=OFF` removes the vector path at compile time —
+/// the scalar fallback is the same code either way. There is no other
+/// tier: a 512-bit kernel measured no faster than AVX2, and no workload
+/// measures an SSE2 one (see docs/PERFORMANCE.md).
 ///
 /// Every variant returns bit-identical results (the DP is min/max-only,
 /// so vector reassociation is exact — see docs/PERFORMANCE.md), which is
 /// why the dispatch level is allowed to be an invisible runtime choice.
 /// tests/kernel_parity_fuzz_test.cc enforces that bit-identity.
 ///
-/// Overrides, strongest first:
-///  * SetSimdLevelCap() — tests and benchmarks pin a level;
-///  * the FMOTIF_SIMD environment variable ("scalar", "sse2", "avx2",
-///    "avx512") — caps the level for debugging without a rebuild;
-///  * CPU detection — never exceeds what the hardware supports.
+/// The active level is min(CPU detection, SetSimdLevelCap()): detection
+/// never exceeds what the hardware supports, and tests and benchmarks
+/// use the cap to pin a level.
 
 namespace frechet_motif {
 
 /// Instruction-set tiers the kernels are specialized for, widest last.
-/// Caps compose by min(), so the numeric order is meaningful.
+/// Caps compose by min(), so the numeric order is meaningful. The values
+/// are the `simd_level` that bench_micro_kernels records in its JSON.
 enum class SimdLevel : int {
   kScalar = 0,
-  kSse2 = 1,
   kAvx2 = 2,
-  kAvx512 = 3,
 };
 
-/// Lower-case tier name ("scalar", "sse2", "avx2", "avx512").
+/// Lower-case tier name ("scalar", "avx2").
 const char* SimdLevelName(SimdLevel level);
 
-/// Parses a tier name (as accepted in FMOTIF_SIMD). Returns false and
-/// leaves *out untouched on an unknown name.
-bool ParseSimdLevel(const char* name, SimdLevel* out);
-
 /// Widest tier this binary carries code for — a compile-time fact
-/// (kScalar when FRECHET_MOTIF_SIMD=OFF or on non-x86 targets; kAvx512
-/// only under FRECHET_MOTIF_NATIVE).
+/// (kScalar when FRECHET_MOTIF_SIMD=OFF or on non-x86 targets).
 SimdLevel CompiledSimdLevel();
 
 /// Widest compiled tier the running CPU supports (detected once, cached).
 SimdLevel DetectedSimdLevel();
 
 /// The tier the dispatched kernels run at right now:
-/// min(DetectedSimdLevel(), FMOTIF_SIMD cap, SetSimdLevelCap cap).
+/// min(DetectedSimdLevel(), SetSimdLevelCap cap).
 SimdLevel ActiveSimdLevel();
 
 /// Caps ActiveSimdLevel() at `cap` until ClearSimdLevelCap(). For tests

@@ -326,6 +326,30 @@ TEST(CliStream, DurableRunMatchesPlainRunAndRecoversOnRestart) {
       << resumed.output;
 }
 
+TEST(CliStream, NanTimestampFailsTheSameWithOrWithoutStateDir) {
+  // One arrival check serves both paths: a NaN stamp is a runtime error
+  // whether or not the stream is journaled.
+  const std::string path = TempPath("nan_ts.csv");
+  {
+    std::ofstream out(path);
+    out << "lat,lon,timestamp\n"
+        << "39.9042,116.4074,0\n"
+        << "39.9043,116.4073,1\n"
+        << "39.9044,116.4072,nan\n"
+        << "39.9045,116.4071,3\n";
+  }
+  const std::string state = TempPath("nan_ts_state");
+  RunShell("rm -rf " + state);
+  const std::string args = " --window=60 --slide=30 --xi=8";
+  const CommandResult plain = RunFmotif("stream " + path + args);
+  const CommandResult durable =
+      RunFmotif("stream " + path + args + " --state-dir=" + state);
+  EXPECT_EQ(1, plain.exit_code) << plain.output;
+  EXPECT_EQ(plain.exit_code, durable.exit_code) << durable.output;
+  EXPECT_NE(std::string::npos, plain.output.find("non-finite timestamp"))
+      << plain.output;
+}
+
 TEST(CliStream, SigintFlushesSummaryAndSyncsJournal) {
   const std::string path =
       WriteTrace("sig.csv", "--kind=geolife --n=160 --seed=13");

@@ -1,7 +1,8 @@
 // Tests of the fleet streaming engine and its components: the
 // dirty/staleness SearchScheduler, the watermark IngestFrontend, parity
 // of MotifFleetEngine against independent monitors, budgeted slide
-// coalescing, and the incremental ε-join deltas.
+// coalescing, the incremental ε-join deltas, and arrival validation in
+// both fleet engines (MotifFleetEngine and DurableFleet).
 
 #include <algorithm>
 #include <cmath>
@@ -10,6 +11,8 @@
 #include <vector>
 
 #include "data/datasets.h"
+#include "durable/durable_fleet.h"
+#include "fault_fs.h"
 #include "geo/metric.h"
 #include "gtest/gtest.h"
 #include "join/similarity_join.h"
@@ -747,63 +750,84 @@ TEST(FleetEngine, HeterogeneousSnapshotRestoreContinuesBitIdentically) {
 
 // --- Non-finite points --------------------------------------------------------
 
-/// Poison points injected before stream position k: NaN and infinite
-/// coordinates on either axis, on an empty window, while it fills, when it
-/// is exactly full and mid-slide.
+/// Poison arrivals injected before stream position k, in a feed whose
+/// point k is stamped k when the feed is timed: NaN and infinite
+/// coordinates on either axis and NaN and infinite timestamps, on an empty
+/// window, while it fills, when it is exactly full and mid-slide.
 struct Poison {
   Index before;
   Point point;
+  double timestamp;  // `before` itself unless the stamp is the poison
 };
 
-std::vector<Poison> PoisonSchedule() {
+/// The schedule for a timed or a bare feed. A bare feed carries no
+/// stamps, so the stamp-only poisons are left out of it.
+std::vector<Poison> PoisonSchedule(bool timed) {
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  return {{0, LatLon(kNan, 116.3)},  {40, LatLon(39.9, kInf)},
-          {70, LatLon(-kInf, 116.3)}, {95, LatLon(kNan, kNan)},
-          {151, LatLon(39.9, -kInf)}};
+  const Point fine = LatLon(39.9, 116.3);
+  const std::vector<Poison> all = {
+      {0, LatLon(kNan, 116.3), 0.0},   {25, fine, kNan},
+      {40, LatLon(39.9, kInf), 40.0},  {60, fine, kInf},
+      {70, LatLon(-kInf, 116.3), 70.0}, {95, LatLon(kNan, kNan), 95.0},
+      {120, fine, -kInf},              {151, LatLon(39.9, -kInf), 151.0}};
+  std::vector<Poison> schedule;
+  for (const Poison& poison : all) {
+    if (timed || std::isfinite(poison.timestamp)) schedule.push_back(poison);
+  }
+  return schedule;
 }
+
+/// Whether the poison before point k is stamped. The first poison, on an
+/// empty window, goes in the other mode from the feed: had the rejected
+/// push set the window's timestamp mode, every later push would fail.
+bool PoisonStamped(bool timed, Index k) { return timed != (k == 0); }
 
 TEST(NonFinitePoints, MonitorRejectsWithoutChangingLaterReports) {
   const HaversineMetric metric;
   const StreamOptions options = SmallStreamOptions();
   const Trajectory t = GeoWalk(200, 7);
-  auto clean = StreamingMotifMonitor::Create(options, metric).value();
-  auto poisoned = StreamingMotifMonitor::Create(options, metric).value();
-  const std::vector<Poison> poison = PoisonSchedule();
-  std::size_t next = 0;
-  int reports = 0;
-  for (Index k = 0; k < t.size(); ++k) {
-    if (next < poison.size() && poison[next].before == k) {
-      // The first poison is timestamped: had the rejected push set the
-      // empty window's timestamp mode, every later bare push would fail.
-      auto rejected = k == 0 ? poisoned.Push(poison[next].point, 1.0)
-                             : poisoned.Push(poison[next].point);
-      EXPECT_EQ(StatusCode::kInvalidArgument, rejected.status().code())
-          << "poison before point " << k;
-      ++next;
+  for (const bool timed : {false, true}) {
+    SCOPED_TRACE(timed ? "timed feed" : "bare feed");
+    auto clean = StreamingMotifMonitor::Create(options, metric).value();
+    auto poisoned = StreamingMotifMonitor::Create(options, metric).value();
+    const std::vector<Poison> poison = PoisonSchedule(timed);
+    std::size_t next = 0;
+    int reports = 0;
+    for (Index k = 0; k < t.size(); ++k) {
+      if (next < poison.size() && poison[next].before == k) {
+        const Poison& bad = poison[next];
+        auto rejected = PoisonStamped(timed, k)
+                            ? poisoned.Push(bad.point, bad.timestamp)
+                            : poisoned.Push(bad.point);
+        EXPECT_EQ(StatusCode::kInvalidArgument, rejected.status().code())
+            << "poison before point " << k;
+        ++next;
+      }
+      const double stamp = static_cast<double>(k);
+      auto expected = timed ? clean.Push(t[k], stamp) : clean.Push(t[k]);
+      auto actual = timed ? poisoned.Push(t[k], stamp) : poisoned.Push(t[k]);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      ASSERT_TRUE(actual.ok()) << actual.status();
+      ASSERT_EQ(expected.value().has_value(), actual.value().has_value())
+          << "point " << k;
+      if (!expected.value().has_value()) continue;
+      SCOPED_TRACE(::testing::Message() << "report at point " << k);
+      ExpectReportBitIdentical(*expected.value(), *actual.value());
+      ++reports;
     }
-    auto expected = clean.Push(t[k]);
-    auto actual = poisoned.Push(t[k]);
-    ASSERT_TRUE(expected.ok()) << expected.status();
-    ASSERT_TRUE(actual.ok()) << actual.status();
-    ASSERT_EQ(expected.value().has_value(), actual.value().has_value())
-        << "point " << k;
-    if (!expected.value().has_value()) continue;
-    SCOPED_TRACE(::testing::Message() << "report at point " << k);
-    ExpectReportBitIdentical(*expected.value(), *actual.value());
-    ++reports;
+    EXPECT_EQ(poison.size(), next);
+    EXPECT_GT(reports, 10);
+    EXPECT_EQ(clean.WindowTrajectory().points(),
+              poisoned.WindowTrajectory().points());
+    EXPECT_EQ(clean.points_seen(), poisoned.points_seen());
+    const StreamEngineStats& e = clean.engine_stats();
+    const StreamEngineStats& a = poisoned.engine_stats();
+    EXPECT_EQ(e.points_ingested, a.points_ingested);
+    EXPECT_EQ(e.ground_distances_computed, a.ground_distances_computed);
+    EXPECT_EQ(e.dfd_cells_computed, a.dfd_cells_computed);
+    EXPECT_EQ(e.bound_rescans, a.bound_rescans);
   }
-  EXPECT_EQ(poison.size(), next);
-  EXPECT_GT(reports, 10);
-  EXPECT_EQ(clean.WindowTrajectory().points(),
-            poisoned.WindowTrajectory().points());
-  EXPECT_EQ(clean.points_seen(), poisoned.points_seen());
-  const StreamEngineStats& e = clean.engine_stats();
-  const StreamEngineStats& a = poisoned.engine_stats();
-  EXPECT_EQ(e.points_ingested, a.points_ingested);
-  EXPECT_EQ(e.ground_distances_computed, a.ground_distances_computed);
-  EXPECT_EQ(e.dfd_cells_computed, a.dfd_cells_computed);
-  EXPECT_EQ(e.bound_rescans, a.bound_rescans);
 }
 
 TEST(NonFinitePoints, FleetIngestRejectsWithoutChangingLaterReports) {
@@ -815,27 +839,108 @@ TEST(NonFinitePoints, FleetIngestRejectsWithoutChangingLaterReports) {
   for (std::size_t s = 0; s < kStreams; ++s) {
     data.push_back(GeoWalk(200, 300 + s));
   }
-  auto clean = MotifFleetEngine::Create(options, metric).value();
-  auto poisoned = MotifFleetEngine::Create(options, metric).value();
+  for (const bool timed : {false, true}) {
+    SCOPED_TRACE(timed ? "timed feed" : "bare feed");
+    auto clean = MotifFleetEngine::Create(options, metric).value();
+    auto poisoned = MotifFleetEngine::Create(options, metric).value();
+    for (std::size_t s = 0; s < kStreams; ++s) {
+      ASSERT_TRUE(clean.AddStream().ok());
+      ASSERT_TRUE(poisoned.AddStream().ok());
+    }
+    const std::vector<Poison> poison = PoisonSchedule(timed);
+    std::size_t next = 0;
+    int reports = 0;
+    for (Index k = 0; k < 200; ++k) {
+      if (next < poison.size() && poison[next].before == k) {
+        const Poison& bad = poison[next];
+        auto rejected = poisoned.Ingest({FleetArrival{
+            next % kStreams, bad.point, PoisonStamped(timed, k),
+            bad.timestamp}});
+        EXPECT_EQ(StatusCode::kInvalidArgument, rejected.status().code())
+            << "poison before point " << k;
+        ++next;
+      }
+      std::vector<FleetArrival> batch;
+      for (std::size_t s = 0; s < kStreams; ++s) {
+        batch.push_back(
+            FleetArrival{s, data[s][k], timed, static_cast<double>(k)});
+      }
+      auto expected = clean.Ingest(batch);
+      auto actual = poisoned.Ingest(batch);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      ASSERT_TRUE(actual.ok()) << actual.status();
+      const std::vector<FleetStreamUpdate>& eu = expected.value().updates;
+      const std::vector<FleetStreamUpdate>& au = actual.value().updates;
+      ASSERT_EQ(eu.size(), au.size()) << "batch " << k;
+      for (std::size_t u = 0; u < eu.size(); ++u) {
+        SCOPED_TRACE(::testing::Message()
+                     << "batch " << k << " update " << u);
+        EXPECT_EQ(eu[u].stream, au[u].stream);
+        ExpectReportBitIdentical(eu[u].update, au[u].update);
+        ++reports;
+      }
+    }
+    EXPECT_EQ(poison.size(), next);
+    EXPECT_GT(reports, 20);
+    for (std::size_t s = 0; s < kStreams; ++s) {
+      EXPECT_EQ(clean.WindowTrajectory(s).points(),
+                poisoned.WindowTrajectory(s).points());
+      EXPECT_EQ(clean.ingest_stats(s).released,
+                poisoned.ingest_stats(s).released);
+    }
+    const FleetStats e = clean.stats();
+    const FleetStats a = poisoned.stats();
+    EXPECT_EQ(e.points_ingested, a.points_ingested);
+    EXPECT_EQ(e.searches, a.searches);
+    EXPECT_EQ(e.ground_distances_computed, a.ground_distances_computed);
+    EXPECT_EQ(e.dfd_cells_computed, a.dfd_cells_computed);
+  }
+}
+
+// --- Bad arrivals inside a batch ---------------------------------------------
+
+/// Feeds `clean` and `poisoned` (fresh fleets, same options) the same
+/// two-stream timed feed. Twice, `poisoned` alone is also offered a batch
+/// of three valid arrivals for stream 0 followed by one bad arrival — for
+/// unknown stream 99, then with a NaN stamp. Each bad batch must fail whole,
+/// moving no counter, and every later report must match `clean`'s bits.
+template <typename Fleet>
+void ExpectBadBatchesLeaveNoTrace(Fleet& clean, Fleet& poisoned) {
+  constexpr std::size_t kStreams = 2;
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Trajectory> data;
   for (std::size_t s = 0; s < kStreams; ++s) {
+    data.push_back(GeoWalk(160, 500 + s));
     ASSERT_TRUE(clean.AddStream().ok());
     ASSERT_TRUE(poisoned.AddStream().ok());
   }
-  const std::vector<Poison> poison = PoisonSchedule();
-  std::size_t next = 0;
   int reports = 0;
-  for (Index k = 0; k < 200; ++k) {
-    if (next < poison.size() && poison[next].before == k) {
-      const std::size_t stream = next % kStreams;
-      auto rejected = poisoned.Ingest(
-          {FleetArrival{stream, poison[next].point, false, 0.0}});
-      EXPECT_EQ(StatusCode::kInvalidArgument, rejected.status().code())
-          << "poison before point " << k;
-      ++next;
+  for (Index k = 0; k < 160; ++k) {
+    const double stamp = static_cast<double>(k);
+    if (k == 40 || k == 100) {
+      std::vector<FleetArrival> bad;
+      for (Index r = 0; r < 3; ++r) {
+        bad.push_back(FleetArrival{0, data[0][k + r], true, stamp + 0.25 * r});
+      }
+      bad.push_back(k == 40 ? FleetArrival{99, data[1][k], true, stamp}
+                            : FleetArrival{1, data[1][k], true, kNan});
+      const std::int64_t ingested = poisoned.stats().points_ingested;
+      std::vector<std::int64_t> released;
+      for (std::size_t s = 0; s < kStreams; ++s) {
+        released.push_back(poisoned.ingest_stats(s).released);
+      }
+      EXPECT_EQ(StatusCode::kInvalidArgument,
+                poisoned.Ingest(bad).status().code())
+          << "bad batch before point " << k;
+      EXPECT_EQ(ingested, poisoned.stats().points_ingested);
+      for (std::size_t s = 0; s < kStreams; ++s) {
+        EXPECT_EQ(released[s], poisoned.ingest_stats(s).released)
+            << "stream " << s;
+      }
     }
     std::vector<FleetArrival> batch;
     for (std::size_t s = 0; s < kStreams; ++s) {
-      batch.push_back(FleetArrival{s, data[s][k], false, 0.0});
+      batch.push_back(FleetArrival{s, data[s][k], true, stamp});
     }
     auto expected = clean.Ingest(batch);
     auto actual = poisoned.Ingest(batch);
@@ -851,20 +956,42 @@ TEST(NonFinitePoints, FleetIngestRejectsWithoutChangingLaterReports) {
       ++reports;
     }
   }
-  EXPECT_EQ(poison.size(), next);
-  EXPECT_GT(reports, 20);
-  for (std::size_t s = 0; s < kStreams; ++s) {
-    EXPECT_EQ(clean.WindowTrajectory(s).points(),
-              poisoned.WindowTrajectory(s).points());
-    EXPECT_EQ(clean.ingest_stats(s).released,
-              poisoned.ingest_stats(s).released);
+  EXPECT_GT(reports, 10);
+  EXPECT_EQ(clean.stats().points_ingested, poisoned.stats().points_ingested);
+  EXPECT_EQ(clean.stats().dfd_cells_computed,
+            poisoned.stats().dfd_cells_computed);
+}
+
+TEST(BadArrivals, FleetEngineRejectsTheWholeBatch) {
+  const HaversineMetric metric;
+  FleetOptions options;
+  options.stream = SmallStreamOptions();
+  auto clean = MotifFleetEngine::Create(options, metric).value();
+  auto poisoned = MotifFleetEngine::Create(options, metric).value();
+  ExpectBadBatchesLeaveNoTrace(clean, poisoned);
+}
+
+TEST(BadArrivals, DurableFleetRejectsTheWholeBatch) {
+  const HaversineMetric metric;
+  FleetOptions options;
+  options.stream = SmallStreamOptions();
+  testing_util::FaultFs clean_fs(1);
+  testing_util::FaultFs poisoned_fs(2);
+  DurableOptions durable;
+  durable.state_dir = "state";
+  std::int64_t clean_ingested = 0;
+  {
+    durable.fs = &clean_fs;
+    auto clean = DurableFleet::Open(options, metric, durable).value();
+    durable.fs = &poisoned_fs;
+    auto poisoned = DurableFleet::Open(options, metric, durable).value();
+    ExpectBadBatchesLeaveNoTrace(clean, poisoned);
+    clean_ingested = clean.stats().points_ingested;
   }
-  const FleetStats e = clean.stats();
-  const FleetStats a = poisoned.stats();
-  EXPECT_EQ(e.points_ingested, a.points_ingested);
-  EXPECT_EQ(e.searches, a.searches);
-  EXPECT_EQ(e.ground_distances_computed, a.ground_distances_computed);
-  EXPECT_EQ(e.dfd_cells_computed, a.dfd_cells_computed);
+  // Nothing of the bad batches reached the journal either: recovery
+  // replays exactly the clean fleet's arrivals.
+  auto recovered = DurableFleet::Open(options, metric, durable).value();
+  EXPECT_EQ(clean_ingested, recovered.stats().points_ingested);
 }
 
 }  // namespace
