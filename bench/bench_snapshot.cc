@@ -13,7 +13,7 @@
 //   plain_ingest         MotifFleetEngine alone — the no-durability
 //                        baseline.
 //   durable_ingest       the same feed through DurableFleet: every
-//                        released batch is encoded, CRC-framed and
+//                        Ingest call is encoded, CRC-framed and
 //                        appended to the journal (auto-checkpointing
 //                        every 100 records). journal_overhead_ratio is
 //                        durable seconds / plain seconds.
@@ -108,7 +108,7 @@ SnapshotMeasurement Measure(Index window, Index streams,
   }
   m.plain_seconds = timer.ElapsedSeconds();
 
-  // --- Durable feed: journal every released batch, checkpoint every
+  // --- Durable feed: journal every Ingest call, checkpoint every
   // 100 records, one final Sync (per-record fsync would time the disk,
   // not the layer). ---
   DurableOptions durable_options;

@@ -6,10 +6,11 @@
 /// for the streaming engines.
 ///
 /// `DurableFleet` wraps a `MotifFleetEngine` with a state directory:
-/// every released (post-reorder) arrival batch is appended to a
-/// CRC-framed journal, and the engine's full manifest — ring distance
-/// matrices, incremental bounds, carried thresholds and tie-break
-/// state, scheduler, join verdict cache — is checkpointed into
+/// every state-changing engine call (`AddStream`, `Ingest` with its
+/// raw batch, `Flush`, `Drain`) is appended to a CRC-framed journal,
+/// and the engine's full manifest — ring distance matrices,
+/// incremental bounds, carried thresholds and tie-break state, reorder
+/// buffers, scheduler, join verdict cache — is checkpointed into
 /// versioned, checksummed snapshot generations with atomic rename
 /// rotation. Reopening the same directory after a crash recovers the
 /// newest valid snapshot, replays the journal tail (skipping a torn or

@@ -1,7 +1,5 @@
 #include "durable/durable_fleet.h"
 
-#include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "util/binary_codec.h"
@@ -10,15 +8,25 @@ namespace frechet_motif {
 
 namespace {
 
-/// Journal record kinds (first payload byte).
-constexpr std::uint8_t kBatchRecord = 1;
+/// Journal record kinds (first payload byte), one per state-changing
+/// engine call. Kind 1 (a released, post-reorder batch) is retired: a
+/// journal holding it fails Open as an unknown kind.
 constexpr std::uint8_t kAddStreamRecord = 2;
+constexpr std::uint8_t kIngestRecord = 3;
+constexpr std::uint8_t kFlushRecord = 4;
+constexpr std::uint8_t kDrainRecord = 5;
 
-std::string EncodeBatch(const std::vector<FleetArrival>& released) {
+std::string EncodeKind(std::uint8_t kind) {
   BinaryWriter writer;
-  writer.PutU8(kBatchRecord);
-  writer.PutU64(released.size());
-  for (const FleetArrival& a : released) {
+  writer.PutU8(kind);
+  return writer.Take();
+}
+
+std::string EncodeIngest(const std::vector<FleetArrival>& batch) {
+  BinaryWriter writer;
+  writer.PutU8(kIngestRecord);
+  writer.PutU64(batch.size());
+  for (const FleetArrival& a : batch) {
     writer.PutU32(static_cast<std::uint32_t>(a.stream));
     writer.PutBool(a.has_timestamp);
     writer.PutDouble(a.point.x);
@@ -28,13 +36,7 @@ std::string EncodeBatch(const std::vector<FleetArrival>& released) {
   return writer.Take();
 }
 
-std::string EncodeAddStream() {
-  BinaryWriter writer;
-  writer.PutU8(kAddStreamRecord);
-  return writer.Take();
-}
-
-Status DecodeBatch(BinaryReader* reader, std::vector<FleetArrival>* out) {
+Status DecodeIngest(BinaryReader* reader, std::vector<FleetArrival>* out) {
   std::uint64_t count = 0;
   FM_RETURN_IF_ERROR(reader->GetU64(&count));
   out->clear();
@@ -49,9 +51,30 @@ Status DecodeBatch(BinaryReader* reader, std::vector<FleetArrival>* out) {
     if (a.has_timestamp) FM_RETURN_IF_ERROR(reader->GetDouble(&a.timestamp));
     out->push_back(a);
   }
-  if (!reader->AtEnd()) {
-    return Status::DataLoss("journal batch record has trailing bytes");
+  return Status::Ok();
+}
+
+/// Re-issues one journaled call on `engine`; the reports of the calls
+/// that return one are appended to `reports`.
+Status ReplayRecord(const std::string& record, MotifFleetEngine* engine,
+                    std::vector<FleetReport>* reports) {
+  BinaryReader reader(record);
+  std::uint8_t kind = 0;
+  FM_RETURN_IF_ERROR(reader.GetU8(&kind));
+  if (kind < kAddStreamRecord || kind > kDrainRecord) {
+    return Status::DataLoss("unknown journal record kind");
   }
+  std::vector<FleetArrival> batch;
+  if (kind == kIngestRecord) FM_RETURN_IF_ERROR(DecodeIngest(&reader, &batch));
+  if (!reader.AtEnd()) {
+    return Status::DataLoss("journal record has trailing bytes");
+  }
+  if (kind == kAddStreamRecord) return engine->AddStream().status();
+  StatusOr<FleetReport> report = kind == kIngestRecord ? engine->Ingest(batch)
+                                 : kind == kFlushRecord ? engine->Flush()
+                                                        : engine->Drain();
+  if (!report.ok()) return report.status();
+  reports->push_back(std::move(report).value());
   return Status::Ok();
 }
 
@@ -99,37 +122,8 @@ StatusOr<DurableFleet> DurableFleet::Open(const FleetOptions& options,
   // Redo the journal tail: every record is one engine call the original
   // process completed after the snapshot.
   for (const std::string& record : fleet.store_.recovered().records) {
-    BinaryReader reader(record);
-    std::uint8_t kind = 0;
-    FM_RETURN_IF_ERROR(reader.GetU8(&kind));
-    if (kind == kAddStreamRecord) {
-      if (!reader.AtEnd()) {
-        return Status::DataLoss("journal add-stream record has trailing bytes");
-      }
-      StatusOr<std::size_t> id = fleet.engine_.AddStream();
-      if (!id.ok()) return id.status();
-    } else if (kind == kBatchRecord) {
-      std::vector<FleetArrival> batch;
-      FM_RETURN_IF_ERROR(DecodeBatch(&reader, &batch));
-      StatusOr<FleetReport> report = fleet.engine_.ReplayReleased(batch);
-      if (!report.ok()) return report.status();
-      fleet.recovery_.replay_reports.push_back(std::move(report).value());
-    } else {
-      return Status::DataLoss("unknown journal record kind");
-    }
-  }
-
-  // Journal-side frontends: fresh buffers (in-flight points are not
-  // durable by design), watermarks re-seeded so the late-drop boundary
-  // matches the original run.
-  fleet.frontends_.clear();
-  fleet.frontends_.reserve(fleet.engine_.stream_count());
-  for (std::size_t s = 0; s < fleet.engine_.stream_count(); ++s) {
-    fleet.frontends_.emplace_back(options.reorder_capacity);
-    const double watermark = fleet.engine_.stream_watermark(s);
-    if (watermark > -std::numeric_limits<double>::infinity()) {
-      fleet.frontends_.back().SeedWatermark(watermark);
-    }
+    FM_RETURN_IF_ERROR(ReplayRecord(record, &fleet.engine_,
+                                    &fleet.recovery_.replay_reports));
   }
 
   // Rotate immediately: new records must never extend a journal whose
@@ -138,55 +132,31 @@ StatusOr<DurableFleet> DurableFleet::Open(const FleetOptions& options,
   return fleet;
 }
 
+Status DurableFleet::Commit(const std::string& record) {
+  FM_RETURN_IF_ERROR(store_.AppendRecord(record));
+  if (sync_each_record_) FM_RETURN_IF_ERROR(store_.SyncJournal());
+  if (checkpoint_interval_ > 0 &&
+      store_.records_in_journal() >= checkpoint_interval_) {
+    FM_RETURN_IF_ERROR(Checkpoint());
+  }
+  return Status::Ok();
+}
+
 StatusOr<std::size_t> DurableFleet::AddStream() {
   StatusOr<std::size_t> id = engine_.AddStream();
   if (!id.ok()) return id.status();
-  frontends_.emplace_back(engine_.options().reorder_capacity);
-  FM_RETURN_IF_ERROR(store_.AppendRecord(EncodeAddStream()));
-  if (sync_each_record_) FM_RETURN_IF_ERROR(store_.SyncJournal());
+  FM_RETURN_IF_ERROR(Commit(EncodeKind(kAddStreamRecord)));
   return id;
-}
-
-StatusOr<FleetReport> DurableFleet::CommitBatch(
-    const std::vector<FleetArrival>& released, bool force_commit) {
-  if (released.empty() && !force_commit) {
-    // Nothing left the reorder buffers: the engine never ran, so there
-    // is nothing to journal (buffered points are volatile by contract).
-    return FleetReport();
-  }
-  StatusOr<FleetReport> report = engine_.ReplayReleased(released);
-  if (!report.ok()) return report.status();
-  if (!released.empty() || !report.value().empty()) {
-    FM_RETURN_IF_ERROR(store_.AppendRecord(EncodeBatch(released)));
-    if (sync_each_record_) FM_RETURN_IF_ERROR(store_.SyncJournal());
-    if (checkpoint_interval_ > 0 &&
-        store_.records_in_journal() >= checkpoint_interval_) {
-      FM_RETURN_IF_ERROR(Checkpoint());
-    }
-  }
-  return report;
 }
 
 StatusOr<FleetReport> DurableFleet::Ingest(
     const std::vector<FleetArrival>& batch) {
-  // Validated whole before any frontend moves: a bad arrival must not
-  // strand earlier ones as released-but-never-journaled.
-  FM_RETURN_IF_ERROR(engine_.CheckBatch(batch));
-  std::vector<FleetArrival> released;
-  for (const FleetArrival& a : batch) {
-    const double* ts = a.has_timestamp ? &a.timestamp : nullptr;
-    FM_RETURN_IF_ERROR(frontends_[a.stream].Offer(
-        a.point, ts, [&](const Point& p, const double* timestamp) {
-          FleetArrival out;
-          out.stream = a.stream;
-          out.point = p;
-          out.has_timestamp = timestamp != nullptr;
-          out.timestamp = timestamp != nullptr ? *timestamp : 0.0;
-          released.push_back(out);
-          return Status::Ok();
-        }));
+  StatusOr<FleetReport> report = engine_.Ingest(batch);
+  if (!report.ok()) return report.status();
+  if (!batch.empty() || !report.value().empty()) {
+    FM_RETURN_IF_ERROR(Commit(EncodeIngest(batch)));
   }
-  return CommitBatch(released, /*force_commit=*/false);
+  return report;
 }
 
 StatusOr<FleetReport> DurableFleet::Push(std::size_t stream, const Point& p) {
@@ -207,27 +177,22 @@ StatusOr<FleetReport> DurableFleet::Push(std::size_t stream, const Point& p,
 }
 
 StatusOr<FleetReport> DurableFleet::Drain() {
-  // A budgeted drain can run deferred searches with no new deliveries;
-  // the call boundary itself must then be journaled so replay runs the
-  // same number of drains.
-  return CommitBatch({}, /*force_commit=*/true);
+  StatusOr<FleetReport> report = engine_.Drain();
+  if (!report.ok()) return report.status();
+  if (!report.value().empty()) {
+    FM_RETURN_IF_ERROR(Commit(EncodeKind(kDrainRecord)));
+  }
+  return report;
 }
 
 StatusOr<FleetReport> DurableFleet::Flush() {
-  std::vector<FleetArrival> released;
-  for (std::size_t s = 0; s < frontends_.size(); ++s) {
-    FM_RETURN_IF_ERROR(
-        frontends_[s].Flush([&](const Point& p, const double* timestamp) {
-          FleetArrival out;
-          out.stream = s;
-          out.point = p;
-          out.has_timestamp = timestamp != nullptr;
-          out.timestamp = timestamp != nullptr ? *timestamp : 0.0;
-          released.push_back(out);
-          return Status::Ok();
-        }));
+  const bool buffered = engine_.stats().reorder_buffered > 0;
+  StatusOr<FleetReport> report = engine_.Flush();
+  if (!report.ok()) return report.status();
+  if (buffered || !report.value().empty()) {
+    FM_RETURN_IF_ERROR(Commit(EncodeKind(kFlushRecord)));
   }
-  return CommitBatch(released, /*force_commit=*/false);
+  return report;
 }
 
 Status DurableFleet::Checkpoint() {
@@ -237,21 +202,5 @@ Status DurableFleet::Checkpoint() {
 }
 
 Status DurableFleet::Sync() { return store_.SyncJournal(); }
-
-FleetStats DurableFleet::stats() const {
-  FleetStats stats = engine_.stats();
-  stats.reordered = 0;
-  stats.late_dropped = 0;
-  stats.reorder_buffered = 0;
-  stats.reorder_buffered_peak = 0;
-  for (const IngestFrontend& frontend : frontends_) {
-    stats.reordered += frontend.stats().reordered;
-    stats.late_dropped += frontend.stats().late_dropped;
-    stats.reorder_buffered += static_cast<std::int64_t>(frontend.buffered());
-    stats.reorder_buffered_peak =
-        std::max(stats.reorder_buffered_peak, frontend.stats().buffered_peak);
-  }
-  return stats;
-}
 
 }  // namespace frechet_motif

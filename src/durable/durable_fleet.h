@@ -4,34 +4,29 @@
 /// Crash-safe wrapper around `MotifFleetEngine`: snapshot + journal
 /// durability with bit-exact recovery.
 ///
-/// ## How the journal stays deterministic
+/// ## The journal holds engine calls
 ///
-/// The engine's in-order core is perfectly replayable, but the reorder
-/// buffers in front of it are not: replaying *raw* arrivals through a
-/// frontend whose buffered contents were lost mid-crash would release a
-/// different in-order sequence. The journal therefore records arrivals
-/// **post-reorder** — exactly the released, in-order sequence the
-/// windows consumed — and recovery feeds it straight back through
-/// `MotifFleetEngine::ReplayReleased`.
+/// The engine is deterministic given its call sequence, and its
+/// snapshot holds everything that sequence built — reorder buffers and
+/// their counters included. So the journal records each state-changing
+/// call itself — `AddStream`, `Ingest` with its raw batch, `Flush`,
+/// `Drain` — once the engine has accepted it, and recovery restores the
+/// newest snapshot and re-issues the journaled calls on it. The
+/// recovered engine is byte-identical to the one that stopped, and
+/// the live path is the plain engine's: a durable fleet's state equals
+/// a `MotifFleetEngine` fed the same calls, crash or no crash.
 ///
-/// DurableFleet owns the journal-side `IngestFrontend`s itself and
-/// drives the inner engine *only* via ReplayReleased, live and during
-/// recovery alike — one code path, so the recovery parity argument is
-/// structural: the engine sees the identical call sequence either way.
-/// One journal record holds one engine call's released batch (possibly
-/// empty, for budgeted `Drain`s that ran deferred searches), so replay
-/// reproduces call boundaries — and with them search coalescing and
-/// join-tick grouping — bit for bit.
+/// A call that changes nothing writes no record: an `Ingest` with no
+/// arrivals, or a `Flush` or `Drain` that released nothing, when it
+/// also reported nothing. A call the engine rejects writes none either
+/// (`CheckBatch` refuses a bad batch before any state moves).
 ///
 /// ## Durability semantics
 ///
-/// A point is durable once it has been *released* past the watermark
-/// and its record synced (`sync_each_record`, default on). Points still
-/// sitting in a reorder buffer are **not** durable — a crash loses
-/// them, exactly as a watermark-based pipeline loses in-flight
-/// unacknowledged data. After recovery the journal-side frontends are
-/// re-seeded with the engine's restored watermarks, so the late-drop
-/// boundary is unchanged.
+/// An arrival is durable once its call's record has synced
+/// (`sync_each_record`, default on) — whether the engine released it
+/// into a window or still holds it in a reorder buffer. A restart,
+/// graceful or not, keeps buffered points buffered.
 ///
 /// `Open` recovers (newest valid snapshot + journal tail, see
 /// state_store.h), then immediately checkpoints, so new records never
@@ -45,7 +40,6 @@
 #include "durable/durable_fs.h"
 #include "durable/state_store.h"
 #include "geo/metric.h"
-#include "stream/ingest_frontend.h"
 #include "stream/motif_fleet_engine.h"
 #include "util/status.h"
 
@@ -74,8 +68,7 @@ struct DurableOptions {
 struct RecoveryInfo {
   bool restored_snapshot = false;
   std::uint64_t replayed_records = 0;
-  /// Reports the replayed records regenerated, in journal order — the
-  /// recovery fuzz harness checks them against the original run's.
+  /// Reports the re-issued calls regenerated, in journal order.
   std::vector<FleetReport> replay_reports;
 };
 
@@ -97,14 +90,12 @@ class DurableFleet {
   StatusOr<std::size_t> AddStream();
 
   /// Engine-call mirrors of MotifFleetEngine's ingest surface. Each
-  /// call that changes durable state commits one journal record.
+  /// call that changes engine state commits one journal record.
   StatusOr<FleetReport> Push(std::size_t stream, const Point& p);
   StatusOr<FleetReport> Push(std::size_t stream, const Point& p,
                              double timestamp);
   StatusOr<FleetReport> Ingest(const std::vector<FleetArrival>& batch);
   StatusOr<FleetReport> Drain();
-
-  /// Flushes the reorder buffers (end of feed) and commits the release.
   StatusOr<FleetReport> Flush();
 
   /// Rotates to a fresh snapshot generation now.
@@ -121,21 +112,7 @@ class DurableFleet {
 
   std::size_t stream_count() const { return engine_.stream_count(); }
 
-  /// Engine counters with the reorder/late-drop counts taken from the
-  /// journal-side frontends (the engine's own frontends only ever see
-  /// released points).
-  FleetStats stats() const;
-
-  /// Per-stream arrival accounting from the journal-side frontend —
-  /// the counters that describe the raw feed (the engine's frontends
-  /// only ever see released points).
-  const IngestStats& ingest_stats(std::size_t stream) const {
-    return frontends_[stream].stats();
-  }
-  /// Points currently held in `stream`'s journal-side reorder buffer.
-  Index buffered(std::size_t stream) const {
-    return frontends_[stream].buffered();
-  }
+  FleetStats stats() const { return engine_.stats(); }
 
   std::uint64_t generation() const { return store_.generation(); }
 
@@ -144,11 +121,9 @@ class DurableFleet {
                std::unique_ptr<DurableFs> owned_fs,
                const DurableOptions& durable);
 
-  /// Applies one engine call's released batch and journals it. Skips
-  /// the journal when the call neither delivered nor reported anything
-  /// (`force_commit` overrides, for calls whose *boundary* matters).
-  StatusOr<FleetReport> CommitBatch(const std::vector<FleetArrival>& released,
-                                    bool force_commit);
+  /// Journals one engine call that succeeded: appends `record`, syncs
+  /// and rotates per the options.
+  Status Commit(const std::string& record);
 
   MotifFleetEngine engine_;
   StateStore store_;
@@ -157,10 +132,6 @@ class DurableFleet {
 
   std::uint64_t checkpoint_interval_ = 1024;
   bool sync_each_record_ = true;
-
-  /// Journal-side reorder frontends, one per stream. Their buffered
-  /// contents are deliberately volatile (see the file comment).
-  std::vector<IngestFrontend> frontends_;
 
   RecoveryInfo recovery_;
 };

@@ -227,7 +227,7 @@ std::int64_t MotifServer::ConnDroppedFrames(ConnId id) const {
 }
 
 FleetStats MotifServer::fleet_stats() const {
-  return durable_.has_value() ? durable_->stats() : plain_->stats();
+  return engine().stats();
 }
 
 MotifServer::ConnId MotifServer::OnAccept(std::unique_ptr<ServeSocket> socket,
@@ -761,12 +761,7 @@ std::string MotifServer::StatsFrame() const {
   const std::size_t count = engine().stream_count();
   const std::size_t listed = std::min(count, kStatsFrameStreamCap);
   for (std::size_t s = 0; s < listed; ++s) {
-    // Durable mode: the journal-side frontends see the raw feed (the
-    // engine's only ever see released points), so their counters are
-    // the ones that describe the wire.
-    const IngestStats& ingest = durable_.has_value()
-                                    ? durable_->ingest_stats(s)
-                                    : engine().ingest_stats(s);
+    const IngestStats& ingest = engine().ingest_stats(s);
     w.BeginObject();
     w.Key("id");
     w.Int(static_cast<std::int64_t>(s));
@@ -777,9 +772,7 @@ std::string MotifServer::StatsFrame() const {
     w.Key("late_dropped");
     w.Int(ingest.late_dropped);
     w.Key("buffered");
-    w.Int(static_cast<std::int64_t>(durable_.has_value()
-                                        ? durable_->buffered(s)
-                                        : engine().stream_buffered(s)));
+    w.Int(static_cast<std::int64_t>(engine().stream_buffered(s)));
     w.Key("buffered_peak");
     w.Int(ingest.buffered_peak);
     w.EndObject();

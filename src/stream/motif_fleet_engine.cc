@@ -213,12 +213,37 @@ Status MotifFleetEngine::DrainInternal(FleetReport* report) {
   return Status::Ok();
 }
 
+std::optional<bool> MotifFleetEngine::StreamTimed(std::size_t stream) const {
+  const StreamRef& ref = stream_map_[stream];
+  if (window_size(stream) > 0) {
+    return windows_[ref.member].timestamped(ref.side);
+  }
+  if (frontends_[stream].buffered() > 0) return true;
+  return std::nullopt;
+}
+
 Status MotifFleetEngine::CheckBatch(
     const std::vector<FleetArrival>& batch) const {
+  // First-arrival mode (-1 none yet, else 0 bare / 1 timed) of the
+  // streams whose mode is not yet established; sized only when this
+  // batch opens one.
+  std::vector<signed char> opened;
   for (const FleetArrival& arrival : batch) {
     FM_RETURN_IF_ERROR(CheckStream(arrival.stream));
     FM_RETURN_IF_ERROR(ValidateArrival(
         arrival.point, arrival.has_timestamp ? &arrival.timestamp : nullptr));
+    std::optional<bool> timed = StreamTimed(arrival.stream);
+    if (!timed.has_value()) {
+      if (opened.empty()) opened.assign(stream_map_.size(), -1);
+      signed char& first = opened[arrival.stream];
+      if (first < 0) first = arrival.has_timestamp ? 1 : 0;
+      timed = first == 1;
+    }
+    if (*timed != arrival.has_timestamp) {
+      return Status::InvalidArgument(
+          "cannot mix timestamped and bare pushes on stream " +
+          std::to_string(arrival.stream));
+    }
   }
   return Status::Ok();
 }
@@ -271,19 +296,6 @@ StatusOr<FleetReport> MotifFleetEngine::Flush() {
   };
   for (stream = 0; stream < frontends_.size(); ++stream) {
     FM_RETURN_IF_ERROR(frontends_[stream].Flush(sink));
-  }
-  FM_RETURN_IF_ERROR(DrainInternal(&report));
-  return report;
-}
-
-StatusOr<FleetReport> MotifFleetEngine::ReplayReleased(
-    const std::vector<FleetArrival>& batch) {
-  FleetReport report;
-  for (const FleetArrival& arrival : batch) {
-    FM_RETURN_IF_ERROR(CheckStream(arrival.stream));
-    const double* ts = arrival.has_timestamp ? &arrival.timestamp : nullptr;
-    FM_RETURN_IF_ERROR(Deliver(arrival.stream, arrival.point, ts, &report));
-    frontends_[arrival.stream].NoteReplayedRelease(ts);
   }
   FM_RETURN_IF_ERROR(DrainInternal(&report));
   return report;

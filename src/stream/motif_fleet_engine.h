@@ -212,9 +212,12 @@ class MotifFleetEngine {
   /// guarantees. The batch passes CheckBatch before anything is applied.
   StatusOr<FleetReport> Ingest(const std::vector<FleetArrival>& batch);
 
-  /// InvalidArgument unless every arrival names a known stream and passes
-  /// ValidateArrival. Changes nothing, so an ingest path that runs it
-  /// first leaves no partial batch behind a bad arrival.
+  /// InvalidArgument unless every arrival names a known stream, passes
+  /// ValidateArrival, and keeps its stream's mode (timed or bare): the
+  /// mode its window side holds, else timed while its reorder buffer
+  /// holds a point, else the mode of the stream's first arrival in this
+  /// batch. Changes nothing, so an ingest path that runs it first leaves
+  /// no partial batch behind a bad arrival.
   Status CheckBatch(const std::vector<FleetArrival>& batch) const;
 
   /// Single-arrival conveniences (one-element Ingest).
@@ -230,16 +233,6 @@ class MotifFleetEngine {
   /// Flushes every reorder buffer (end of feed) and drains whatever that
   /// released. A no-op when nothing is buffered.
   StatusOr<FleetReport> Flush();
-
-  /// Journal-replay entry (src/durable/): re-applies a batch of
-  /// **already released** (post-reorder) points directly to the
-  /// windows, bypassing the frontends but keeping their watermark and
-  /// release accounting consistent, then drains exactly as Ingest
-  /// would. Feeding a journal's records batch-by-batch (one call per
-  /// journaled commit) reproduces the original engine's reports and
-  /// state bit for bit — that is the recovery parity contract proved by
-  /// tests/durable_recovery_fuzz_test.cc.
-  StatusOr<FleetReport> ReplayReleased(const std::vector<FleetArrival>& batch);
 
   /// True when `stream`'s member has a search due but not yet run (only
   /// possible between calls under a search budget).
@@ -270,12 +263,6 @@ class MotifFleetEngine {
   /// Points currently held in `stream`'s reorder buffer.
   Index stream_buffered(std::size_t stream) const {
     return frontends_[stream].buffered();
-  }
-  /// The stream's release watermark (see IngestFrontend::watermark) —
-  /// the durable layer reads it after Restore to seed its journal-side
-  /// frontends.
-  double stream_watermark(std::size_t stream) const {
-    return frontends_[stream].watermark();
   }
 
   /// Aggregated counters (computed on demand).
@@ -321,6 +308,11 @@ class MotifFleetEngine {
   MotifFleetEngine(const FleetOptions& options, const GroundMetric& metric);
 
   Status CheckStream(std::size_t stream) const;
+
+  /// The mode `stream`'s arrivals are held to: its window side's once
+  /// that side holds a point, else timed while its reorder buffer holds
+  /// one, else unset.
+  std::optional<bool> StreamTimed(std::size_t stream) const;
 
   /// Shared tail of the AddStream/AddCrossPair overloads: creates the
   /// window, registers it with the scheduler, and allocates its one or

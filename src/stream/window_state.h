@@ -186,6 +186,12 @@ class WindowState {
   }
   std::int64_t points_seen() const { return pushed_first_; }
 
+  /// Whether `side`'s points carry timestamps. Meaningful once that
+  /// side holds a point; Append refuses the other mode from then on.
+  bool timestamped(int side) const {
+    return side == 0 ? timestamped_ : second_timestamped_;
+  }
+
   /// Appends (across both sides) since the last search — the scheduler's
   /// dirty measure: each append dirties one ring row+column, i.e. O(W)
   /// matrix cells.

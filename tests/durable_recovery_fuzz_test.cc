@@ -7,9 +7,10 @@
 // oracle's `Snapshot()`, join matches included.
 //
 // The resume rule after a crash is the one a real writer would use: the
-// recovered per-stream `ingest_stats().released` counts say how far the
-// committed global prefix got, and the feed re-pushes everything after
-// it. Committed records always form a prefix of the call sequence (the
+// recovered per-stream arrival counts (`ingest_stats().released`, plus
+// the buffered and late-dropped ones when the feed reorders) say how far
+// the committed global prefix got, and the feed re-pushes everything
+// after it. Committed records always form a prefix of the call sequence (the
 // tolerant tail parse stops at the first torn frame), so counts are
 // enough to realign an interleaved schedule.
 //
@@ -194,15 +195,17 @@ TEST(DurableRecoveryFuzz, OpLevelCrashesRecoverBitExact) {
 }
 
 // Round family B: out-of-order timestamped feeds through the reorder
-// buffers, hard kills between calls at segment boundaries. Each segment
-// ends in Flush, so the buffered points (deliberately volatile) are
-// empty at every kill and the oracle — a never-killed DurableFleet fed
-// identically — must match after every recovery.
+// buffers, hard kills between calls at segment boundaries. A coin flip
+// per segment decides whether it ends in Flush, so kills land with
+// points still buffered. The oracle is a plain MotifFleetEngine fed the
+// same calls; the recovered engine must match it after every recovery
+// and every segment, buffered points included.
 TEST(DurableRecoveryFuzz, ReorderedSegmentsSurviveKillsBetweenCalls) {
   const std::uint64_t seed = testing_util::FuzzSeed(20260802);
   const int rounds = testing_util::FuzzRounds(3);
   Rng rng(seed);
   const EuclideanMetric metric;
+  int buffered_kills = 0;
   for (int round = 0; round < rounds; ++round) {
     const Index capacity = static_cast<Index>(rng.NextInt(2, 5));
     const FuzzConfig config = DrawConfig(&rng, capacity);
@@ -231,11 +234,7 @@ TEST(DurableRecoveryFuzz, ReorderedSegmentsSurviveKillsBetweenCalls) {
       }
     }
 
-    testing_util::FaultFs oracle_fs(seed + 3 * static_cast<std::uint64_t>(round));
-    DurableOptions oracle_durable;
-    oracle_durable.state_dir = "oracle";
-    oracle_durable.fs = &oracle_fs;
-    auto oracle = DurableFleet::Open(config.options, metric, oracle_durable);
+    auto oracle = MotifFleetEngine::Create(config.options, metric);
     ASSERT_TRUE(oracle.ok()) << oracle.status();
     for (std::size_t s = 0; s < config.streams; ++s) {
       ASSERT_EQ(s, oracle.value().AddStream().value());
@@ -249,7 +248,7 @@ TEST(DurableRecoveryFuzz, ReorderedSegmentsSurviveKillsBetweenCalls) {
         static_cast<std::uint64_t>(rng.NextInt(8, 32));
 
     const int segments = static_cast<int>(rng.NextInt(3, 5));
-    std::vector<std::size_t> seen(config.streams, 0);
+    std::vector<std::size_t> cursor(config.streams, 0);
     std::size_t fed = 0;
     for (int segment = 0; segment < segments; ++segment) {
       if (segment > 0) fs.Restart();  // hard kill between calls
@@ -261,12 +260,27 @@ TEST(DurableRecoveryFuzz, ReorderedSegmentsSurviveKillsBetweenCalls) {
         }
       }
       ASSERT_EQ(config.streams, fleet.value().stream_count());
+      ExpectSameEngineState(oracle.value(), fleet.value().engine());
+      if (fleet.value().stats().reorder_buffered > 0) ++buffered_kills;
+
+      // Resume where the recovered engine stands: every arrival it has
+      // seen was released, is buffered, or was dropped late.
+      const MotifFleetEngine& engine = fleet.value().engine();
+      for (std::size_t s = 0; s < config.streams; ++s) {
+        const IngestStats& ingest = engine.ingest_stats(s);
+        cursor[s] = static_cast<std::size_t>(ingest.released +
+                                             engine.stream_buffered(s) +
+                                             ingest.late_dropped);
+      }
       const std::size_t until = segment + 1 == segments
                                     ? schedule.size()
                                     : schedule.size() * (segment + 1) / segments;
-      for (; fed < until; ++fed) {
-        const std::size_t s = schedule[fed];
+      std::vector<std::size_t> seen(config.streams, 0);
+      std::size_t position = 0;
+      for (const std::size_t s : schedule) {
+        if (position++ == until) break;
         const std::size_t index = seen[s]++;
+        if (index < cursor[s]) continue;
         const Point& p = data[s][static_cast<Index>(index)];
         const double ts = stamps[s][index];
         auto live = fleet.value().Push(s, p, ts);
@@ -274,12 +288,19 @@ TEST(DurableRecoveryFuzz, ReorderedSegmentsSurviveKillsBetweenCalls) {
         ASSERT_TRUE(live.ok()) << live.status();
         ASSERT_TRUE(want.ok()) << want.status();
         ASSERT_EQ(want.value().updates.size(), live.value().updates.size());
+        ++fed;
       }
-      ASSERT_TRUE(fleet.value().Flush().ok());
-      ASSERT_TRUE(oracle.value().Flush().ok());
-      ExpectSameEngineState(oracle.value().engine(), fleet.value().engine());
+      if (rng.NextInt(0, 1) == 0) {
+        ASSERT_TRUE(fleet.value().Flush().ok());
+        ASSERT_TRUE(oracle.value().Flush().ok());
+      }
+      ExpectSameEngineState(oracle.value(), fleet.value().engine());
     }
+    EXPECT_EQ(schedule.size(), fed);
   }
+  // Deterministic given the seed: some kill must land mid-buffer, or
+  // the buffered-state recovery went untested.
+  EXPECT_GT(buffered_kills, 0);
 }
 
 // Round family C: a bit flipped in the newest snapshot on stable

@@ -487,7 +487,13 @@ TEST(DurableFleet, MirrorsThePlainEngineAndSurvivesReopen) {
             reopened.value().engine().CurrentJoinMatches());
 }
 
-TEST(DurableFleet, ReorderedFeedJournalsPostReorderAndSeedsWatermark) {
+std::string EngineBytes(const MotifFleetEngine& engine) {
+  std::string bytes;
+  EXPECT_TRUE(engine.Snapshot(&bytes).ok());
+  return bytes;
+}
+
+TEST(DurableFleet, ReorderedFeedRecoversBufferAndWatermark) {
   FleetOptions options;
   options.stream = SmallStreamOptions();
   options.reorder_capacity = 4;
@@ -498,6 +504,9 @@ TEST(DurableFleet, ReorderedFeedJournalsPostReorderAndSeedsWatermark) {
   durable.state_dir = "state";
   durable.fs = &fs;
 
+  auto plain = MotifFleetEngine::Create(options, metric);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(plain.value().AddStream().ok());
   const Trajectory t = testing_util::MakePlanarWalk(46, 8803);
   {
     auto fleet = DurableFleet::Open(options, metric, durable);
@@ -505,23 +514,63 @@ TEST(DurableFleet, ReorderedFeedJournalsPostReorderAndSeedsWatermark) {
     ASSERT_TRUE(fleet.value().AddStream().ok());
     // Out-of-order feed: swap every adjacent pair of timestamps.
     for (Index k = 0; k + 1 < 44; k += 2) {
-      ASSERT_TRUE(
-          fleet.value().Push(0, t[k + 1], static_cast<double>(k + 1)).ok());
-      ASSERT_TRUE(fleet.value().Push(0, t[k], static_cast<double>(k)).ok());
+      for (const Index i : {k + 1, k}) {
+        const double ts = static_cast<double>(i);
+        ASSERT_TRUE(fleet.value().Push(0, t[i], ts).ok());
+        ASSERT_TRUE(plain.value().Push(0, t[i], ts).ok());
+      }
     }
-    ASSERT_TRUE(fleet.value().Flush().ok());
     EXPECT_GT(fleet.value().stats().reordered, 0);
+    // Killed with points still in the reorder buffer.
+    EXPECT_GT(fleet.value().stats().reorder_buffered, 0);
+    EXPECT_EQ(EngineBytes(plain.value()), EngineBytes(fleet.value().engine()));
   }
   fs.Restart();
   auto reopened = DurableFleet::Open(options, metric, durable);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
+  // The buffered points came back with the rest of the engine.
+  EXPECT_EQ(EngineBytes(plain.value()),
+            EngineBytes(reopened.value().engine()));
+  ASSERT_TRUE(reopened.value().Flush().ok());
+  ASSERT_TRUE(plain.value().Flush().ok());
   // Watermark recovered: a pre-watermark arrival is late-dropped, not
   // applied out of order.
   const auto before = reopened.value().engine().ingest_stats(0).released;
   ASSERT_TRUE(reopened.value().Push(0, t[0], 1.0).ok());
+  ASSERT_TRUE(plain.value().Push(0, t[0], 1.0).ok());
   ASSERT_TRUE(reopened.value().Flush().ok());
+  ASSERT_TRUE(plain.value().Flush().ok());
   EXPECT_EQ(before, reopened.value().engine().ingest_stats(0).released);
   EXPECT_EQ(1, reopened.value().stats().late_dropped);
+  EXPECT_EQ(EngineBytes(plain.value()),
+            EngineBytes(reopened.value().engine()));
+}
+
+TEST(DurableFleet, RetiredReleasedBatchRecordIsRefused) {
+  FleetOptions options;
+  options.stream = SmallStreamOptions();
+  const EuclideanMetric metric;
+  FaultFs fs(13);
+  {
+    auto store = StateStore::Open(&fs, "state");
+    ASSERT_TRUE(store.ok()) << store.status();
+    auto engine = MotifFleetEngine::Create(options, metric);
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE(store.value().Checkpoint(EngineBytes(engine.value())).ok());
+    // A released-batch record (kind 1) holding no arrivals.
+    BinaryWriter record;
+    record.PutU8(1);
+    record.PutU64(0);
+    ASSERT_TRUE(store.value().AppendRecord(record.Take()).ok());
+    ASSERT_TRUE(store.value().SyncJournal().ok());
+  }
+  DurableOptions durable;
+  durable.state_dir = "state";
+  durable.fs = &fs;
+  auto fleet = DurableFleet::Open(options, metric, durable);
+  EXPECT_EQ(StatusCode::kDataLoss, fleet.status().code());
+  EXPECT_NE(std::string::npos,
+            fleet.status().message().find("unknown journal record kind"));
 }
 
 }  // namespace

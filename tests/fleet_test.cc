@@ -8,6 +8,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "data/datasets.h"
@@ -899,11 +900,20 @@ TEST(NonFinitePoints, FleetIngestRejectsWithoutChangingLaterReports) {
 
 // --- Bad arrivals inside a batch ---------------------------------------------
 
+const MotifFleetEngine& EngineOf(const MotifFleetEngine& engine) {
+  return engine;
+}
+const MotifFleetEngine& EngineOf(const DurableFleet& fleet) {
+  return fleet.engine();
+}
+
 /// Feeds `clean` and `poisoned` (fresh fleets, same options) the same
-/// two-stream timed feed. Twice, `poisoned` alone is also offered a batch
-/// of three valid arrivals for stream 0 followed by one bad arrival — for
-/// unknown stream 99, then with a NaN stamp. Each bad batch must fail whole,
-/// moving no counter, and every later report must match `clean`'s bits.
+/// two-stream timed feed. Three times, `poisoned` alone is also offered a
+/// bad batch: three valid arrivals for stream 0 followed by one bad
+/// arrival — for unknown stream 99, then with a NaN stamp — and then a
+/// timed arrival for stream 0 followed by a bare one. Each bad batch must
+/// fail whole, moving no counter and no snapshot byte, and every later
+/// report must match `clean`'s bits.
 template <typename Fleet>
 void ExpectBadBatchesLeaveNoTrace(Fleet& clean, Fleet& poisoned) {
   constexpr std::size_t kStreams = 2;
@@ -917,26 +927,37 @@ void ExpectBadBatchesLeaveNoTrace(Fleet& clean, Fleet& poisoned) {
   int reports = 0;
   for (Index k = 0; k < 160; ++k) {
     const double stamp = static_cast<double>(k);
-    if (k == 40 || k == 100) {
+    if (k == 40 || k == 100 || k == 130) {
       std::vector<FleetArrival> bad;
-      for (Index r = 0; r < 3; ++r) {
-        bad.push_back(FleetArrival{0, data[0][k + r], true, stamp + 0.25 * r});
+      if (k == 130) {
+        bad.push_back(FleetArrival{0, data[0][k], true, stamp});
+        bad.push_back(FleetArrival{0, data[0][k + 1], false, 0.0});
+      } else {
+        for (Index r = 0; r < 3; ++r) {
+          bad.push_back(
+              FleetArrival{0, data[0][k + r], true, stamp + 0.25 * r});
+        }
+        bad.push_back(k == 40 ? FleetArrival{99, data[1][k], true, stamp}
+                              : FleetArrival{1, data[1][k], true, kNan});
       }
-      bad.push_back(k == 40 ? FleetArrival{99, data[1][k], true, stamp}
-                            : FleetArrival{1, data[1][k], true, kNan});
       const std::int64_t ingested = poisoned.stats().points_ingested;
       std::vector<std::int64_t> released;
       for (std::size_t s = 0; s < kStreams; ++s) {
-        released.push_back(poisoned.ingest_stats(s).released);
+        released.push_back(EngineOf(poisoned).ingest_stats(s).released);
       }
+      std::string before;
+      ASSERT_TRUE(EngineOf(poisoned).Snapshot(&before).ok());
       EXPECT_EQ(StatusCode::kInvalidArgument,
                 poisoned.Ingest(bad).status().code())
           << "bad batch before point " << k;
       EXPECT_EQ(ingested, poisoned.stats().points_ingested);
       for (std::size_t s = 0; s < kStreams; ++s) {
-        EXPECT_EQ(released[s], poisoned.ingest_stats(s).released)
+        EXPECT_EQ(released[s], EngineOf(poisoned).ingest_stats(s).released)
             << "stream " << s;
       }
+      std::string after;
+      ASSERT_TRUE(EngineOf(poisoned).Snapshot(&after).ok());
+      EXPECT_TRUE(before == after) << "bad batch before point " << k;
     }
     std::vector<FleetArrival> batch;
     for (std::size_t s = 0; s < kStreams; ++s) {

@@ -16,15 +16,24 @@
 ///     recovery chain (magic, version, CRC, sequence numbers) on
 ///     arbitrary directory contents.
 ///
+///  4. DurableFleet::Open's journal-record decoding and call replay:
+///     the input is carved into payloads (one length byte, then that
+///     many bytes) that StateStore::AppendRecord frames after a
+///     checkpoint of an empty engine, so they pass the CRC check that
+///     stops layer 3's random wal bytes. corpus/fuzz_snapshot/
+///     journal-calls holds one record of each kind.
+///
 /// Contract everywhere: DataLoss/InvalidArgument Status, never a
 /// crash, throw, or giant allocation.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "durable/durable_fleet.h"
 #include "durable/state_store.h"
 #include "fault_fs.h"
 #include "geo/metric.h"
@@ -34,6 +43,8 @@
 namespace {
 
 using frechet_motif::BinaryReader;
+using frechet_motif::DurableFleet;
+using frechet_motif::DurableOptions;
 using frechet_motif::FleetOptions;
 using frechet_motif::MotifFleetEngine;
 using frechet_motif::StateStore;
@@ -126,6 +137,41 @@ void TryStoreRecovery(std::string_view input) {
   }
 }
 
+void TryJournalReplay(std::string_view input) {
+  FaultFs fs(/*seed=*/1);
+  {
+    auto store = StateStore::Open(&fs, "journal");
+    if (!store.ok()) __builtin_trap();
+    auto engine =
+        MotifFleetEngine::Create(SeedOptions(), frechet_motif::Euclidean());
+    std::string snapshot;
+    if (!engine.ok() || !engine.value().Snapshot(&snapshot).ok() ||
+        !store.value().Checkpoint(snapshot).ok()) {
+      __builtin_trap();
+    }
+    std::string_view rest = input;
+    while (!rest.empty()) {
+      const std::size_t len =
+          std::min<std::size_t>(static_cast<std::uint8_t>(rest[0]),
+                                rest.size() - 1);
+      if (!store.value().AppendRecord(rest.substr(1, len)).ok()) {
+        __builtin_trap();
+      }
+      rest.remove_prefix(1 + len);
+    }
+    if (!store.value().SyncJournal().ok()) __builtin_trap();
+  }
+  DurableOptions durable;
+  durable.state_dir = "journal";
+  durable.fs = &fs;
+  auto fleet =
+      DurableFleet::Open(SeedOptions(), frechet_motif::Euclidean(), durable);
+  if (fleet.ok()) {
+    std::string again;
+    if (!fleet.value().engine().Snapshot(&again).ok()) __builtin_trap();
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -134,5 +180,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   WalkPrimitives(input);
   TryEngineRestore(input);
   TryStoreRecovery(input);
+  TryJournalReplay(input);
   return 0;
 }

@@ -201,7 +201,7 @@ int CommandUsage(std::FILE* stream, const std::string& command) {
         "streams on the fly. Requires the in-memory engine (no "
         "--state-dir).\n"
         "\n"
-        "--state-dir=DIR journals every released batch and rotates "
+        "--state-dir=DIR journals every engine call and rotates "
         "snapshots\n"
         "(every --checkpoint=N records); a restart recovers the fleet "
         "and\n"
@@ -1176,8 +1176,7 @@ int RunFleet(const fm::Flags& flags) {
     std::fprintf(stderr, "interrupted: flushing summary\n");
   }
 
-  const fm::FleetStats stats =
-      durable.has_value() ? durable->stats() : plain->stats();
+  const fm::FleetStats stats = view.stats();
   const fm::IncrementalJoinStats* join = view.join_stats();
   if (json) {
     fm::JsonWriter w;
