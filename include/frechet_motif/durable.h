@@ -22,6 +22,12 @@
 /// between writes, syncs, and renames, tears trailing writes, and
 /// flips bits in snapshots.
 ///
+/// With an empty `DurableOptions::state_dir` the same handle runs in
+/// memory: no journal, no snapshots, no filesystem access. Front ends
+/// (`fmotif stream`/`fleet`/`serve`) therefore hold one `DurableFleet`
+/// whether or not the run is durable. Per-member `StreamOptions`
+/// (`AddStream`/`AddCrossPair` overloads) are in-memory only.
+///
 /// ```
 /// DurableOptions durable;
 /// durable.state_dir = "/var/lib/fmotif/fleet";
@@ -33,8 +39,8 @@
 ///
 /// Single-stream monitors snapshot through the same machinery:
 /// `StreamingMotifMonitor::Snapshot`/`Restore` round-trips a monitor
-/// through raw bytes (the CLI's `--state-dir` uses a one-stream
-/// DurableFleet instead, gaining the journal).
+/// through raw bytes (`fmotif stream` runs a one-stream DurableFleet
+/// instead, gaining the journal under `--state-dir`).
 
 #include "durable/durable_fleet.h"
 #include "durable/durable_fs.h"

@@ -31,9 +31,13 @@
 /// streaming trades no exactness for its incrementality. (Equal-distance
 /// candidates resolve everywhere to the canonical lexicographic
 /// (i, j, ie, je) minimum — see `CandidateOrderedBefore` — which is what
-/// makes the parity exact even on adversarial tied data.) The `fmotif
-/// stream` subcommand exposes the same engine on the command line; for
-/// many streams behind one arrival loop, see `<frechet_motif/fleet.h>`.
+/// makes the parity exact even on adversarial tied data.) For many
+/// streams behind one arrival loop, see `<frechet_motif/fleet.h>`. The
+/// `fmotif stream` subcommand runs a one-stream fleet through
+/// `DurableFleet` (`<frechet_motif/durable.h>`, in memory unless
+/// `--state-dir` is given): its reports equal this monitor's on an
+/// in-order feed, and a timestamp below the latest one kept is dropped
+/// and counted by the fleet's watermark rather than ingested.
 
 #include "stream/ingest_frontend.h"
 #include "stream/streaming_motif_monitor.h"

@@ -80,7 +80,8 @@ Status ReplayRecord(const std::string& record, MotifFleetEngine* engine,
 
 }  // namespace
 
-DurableFleet::DurableFleet(MotifFleetEngine engine, StateStore store,
+DurableFleet::DurableFleet(MotifFleetEngine engine,
+                           std::optional<StateStore> store,
                            std::unique_ptr<DurableFs> owned_fs,
                            const DurableOptions& durable)
     : engine_(std::move(engine)),
@@ -93,7 +94,11 @@ StatusOr<DurableFleet> DurableFleet::Open(const FleetOptions& options,
                                           const GroundMetric& metric,
                                           const DurableOptions& durable) {
   if (durable.state_dir.empty()) {
-    return Status::InvalidArgument("DurableOptions::state_dir is empty");
+    StatusOr<MotifFleetEngine> engine =
+        MotifFleetEngine::Create(options, metric);
+    if (!engine.ok()) return engine.status();
+    return DurableFleet(std::move(engine).value(), std::nullopt, nullptr,
+                        durable);
   }
   std::unique_ptr<DurableFs> owned_fs;
   DurableFs* fs = durable.fs;
@@ -116,12 +121,13 @@ StatusOr<DurableFleet> DurableFleet::Open(const FleetOptions& options,
                      std::move(owned_fs), durable);
   // `recovered` dangles once `store` is moved into the fleet; report the
   // recovery from the store's own (moved-along) state.
-  fleet.recovery_.restored_snapshot = fleet.store_.recovered().has_snapshot;
-  fleet.recovery_.replayed_records = fleet.store_.recovered().records.size();
+  const RecoveredState& replay = fleet.store_->recovered();
+  fleet.recovery_.restored_snapshot = replay.has_snapshot;
+  fleet.recovery_.replayed_records = replay.records.size();
 
   // Redo the journal tail: every record is one engine call the original
   // process completed after the snapshot.
-  for (const std::string& record : fleet.store_.recovered().records) {
+  for (const std::string& record : replay.records) {
     FM_RETURN_IF_ERROR(ReplayRecord(record, &fleet.engine_,
                                     &fleet.recovery_.replay_reports));
   }
@@ -133,27 +139,48 @@ StatusOr<DurableFleet> DurableFleet::Open(const FleetOptions& options,
 }
 
 Status DurableFleet::Commit(const std::string& record) {
-  FM_RETURN_IF_ERROR(store_.AppendRecord(record));
-  if (sync_each_record_) FM_RETURN_IF_ERROR(store_.SyncJournal());
+  FM_RETURN_IF_ERROR(store_->AppendRecord(record));
+  if (sync_each_record_) FM_RETURN_IF_ERROR(store_->SyncJournal());
   if (checkpoint_interval_ > 0 &&
-      store_.records_in_journal() >= checkpoint_interval_) {
+      store_->records_in_journal() >= checkpoint_interval_) {
     FM_RETURN_IF_ERROR(Checkpoint());
   }
   return Status::Ok();
 }
 
+Status DurableFleet::CheckUnjournaled() const {
+  if (!store_.has_value()) return Status::Ok();
+  return Status::InvalidArgument(
+      "per-member stream options cannot be journaled; run the fleet "
+      "without a state directory");
+}
+
 StatusOr<std::size_t> DurableFleet::AddStream() {
   StatusOr<std::size_t> id = engine_.AddStream();
   if (!id.ok()) return id.status();
-  FM_RETURN_IF_ERROR(Commit(EncodeKind(kAddStreamRecord)));
+  if (store_.has_value()) {
+    FM_RETURN_IF_ERROR(Commit(EncodeKind(kAddStreamRecord)));
+  }
   return id;
+}
+
+StatusOr<std::size_t> DurableFleet::AddStream(
+    const StreamOptions& stream_options) {
+  FM_RETURN_IF_ERROR(CheckUnjournaled());
+  return engine_.AddStream(stream_options);
+}
+
+StatusOr<std::pair<std::size_t, std::size_t>> DurableFleet::AddCrossPair(
+    const StreamOptions& stream_options) {
+  FM_RETURN_IF_ERROR(CheckUnjournaled());
+  return engine_.AddCrossPair(stream_options);
 }
 
 StatusOr<FleetReport> DurableFleet::Ingest(
     const std::vector<FleetArrival>& batch) {
   StatusOr<FleetReport> report = engine_.Ingest(batch);
   if (!report.ok()) return report.status();
-  if (!batch.empty() || !report.value().empty()) {
+  if (store_.has_value() && (!batch.empty() || !report.value().empty())) {
     FM_RETURN_IF_ERROR(Commit(EncodeIngest(batch)));
   }
   return report;
@@ -179,7 +206,7 @@ StatusOr<FleetReport> DurableFleet::Push(std::size_t stream, const Point& p,
 StatusOr<FleetReport> DurableFleet::Drain() {
   StatusOr<FleetReport> report = engine_.Drain();
   if (!report.ok()) return report.status();
-  if (!report.value().empty()) {
+  if (store_.has_value() && !report.value().empty()) {
     FM_RETURN_IF_ERROR(Commit(EncodeKind(kDrainRecord)));
   }
   return report;
@@ -189,18 +216,21 @@ StatusOr<FleetReport> DurableFleet::Flush() {
   const bool buffered = engine_.stats().reorder_buffered > 0;
   StatusOr<FleetReport> report = engine_.Flush();
   if (!report.ok()) return report.status();
-  if (buffered || !report.value().empty()) {
+  if (store_.has_value() && (buffered || !report.value().empty())) {
     FM_RETURN_IF_ERROR(Commit(EncodeKind(kFlushRecord)));
   }
   return report;
 }
 
 Status DurableFleet::Checkpoint() {
+  if (!store_.has_value()) return Status::Ok();
   std::string snapshot;
   FM_RETURN_IF_ERROR(engine_.Snapshot(&snapshot));
-  return store_.Checkpoint(snapshot);
+  return store_->Checkpoint(snapshot);
 }
 
-Status DurableFleet::Sync() { return store_.SyncJournal(); }
+Status DurableFleet::Sync() {
+  return store_.has_value() ? store_->SyncJournal() : Status::Ok();
+}
 
 }  // namespace frechet_motif

@@ -31,10 +31,25 @@
 /// `Open` recovers (newest valid snapshot + journal tail, see
 /// state_store.h), then immediately checkpoints, so new records never
 /// extend a journal whose tail was just found torn.
+///
+/// ## In memory
+///
+/// With an empty `DurableOptions::state_dir` the fleet is the plain
+/// engine behind the same handle: no state store, no filesystem, no
+/// snapshot work. `Checkpoint` and `Sync` return Ok, `generation()` is
+/// 0 and `recovery()` is empty. So a front end holds one fleet and
+/// never asks whether its run is durable.
+///
+/// Per-member options (`AddStream`/`AddCrossPair` taking StreamOptions)
+/// are in-memory only: the journal records no member options, so with
+/// a state directory they fail with InvalidArgument before any state
+/// changes.
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "durable/durable_fs.h"
@@ -48,6 +63,8 @@ namespace frechet_motif {
 /// Durability configuration, orthogonal to the engine's FleetOptions.
 struct DurableOptions {
   /// State directory (created if missing) holding snapshots + journals.
+  /// Empty runs the fleet in memory: nothing is journaled or
+  /// checkpointed, and the remaining fields are unused.
   std::string state_dir;
 
   /// Auto-checkpoint after this many journal records (0 = only explicit
@@ -74,7 +91,8 @@ struct RecoveryInfo {
 
 class DurableFleet {
  public:
-  /// Opens (recovering if state exists) a durable fleet. `metric` and
+  /// Opens (recovering if state exists) a durable fleet, or an
+  /// in-memory one when `durable.state_dir` is empty. `metric` and
   /// `durable.fs` (when set) must outlive the fleet. `options` must
   /// match any recovered snapshot's configuration (threads excepted).
   static StatusOr<DurableFleet> Open(const FleetOptions& options,
@@ -89,6 +107,13 @@ class DurableFleet {
   /// Adds a stream (journaled). Ids are dense, starting at 0.
   StatusOr<std::size_t> AddStream();
 
+  /// Adds a member with its own window configuration (see
+  /// MotifFleetEngine). In memory only: with a state directory these
+  /// fail with InvalidArgument and change nothing.
+  StatusOr<std::size_t> AddStream(const StreamOptions& stream_options);
+  StatusOr<std::pair<std::size_t, std::size_t>> AddCrossPair(
+      const StreamOptions& stream_options);
+
   /// Engine-call mirrors of MotifFleetEngine's ingest surface. Each
   /// call that changes engine state commits one journal record.
   StatusOr<FleetReport> Push(std::size_t stream, const Point& p);
@@ -98,11 +123,11 @@ class DurableFleet {
   StatusOr<FleetReport> Drain();
   StatusOr<FleetReport> Flush();
 
-  /// Rotates to a fresh snapshot generation now.
+  /// Rotates to a fresh snapshot generation now (Ok in memory).
   Status Checkpoint();
 
   /// Forces any unsynced journal records to stable storage (a no-op
-  /// with `sync_each_record`).
+  /// with `sync_each_record`, and in memory).
   Status Sync();
 
   /// The wrapped engine, for queries and parity checks. All mutation
@@ -114,19 +139,27 @@ class DurableFleet {
 
   FleetStats stats() const { return engine_.stats(); }
 
-  std::uint64_t generation() const { return store_.generation(); }
+  /// The current snapshot generation; 0 in memory.
+  std::uint64_t generation() const {
+    return store_.has_value() ? store_->generation() : 0;
+  }
 
  private:
-  DurableFleet(MotifFleetEngine engine, StateStore store,
+  DurableFleet(MotifFleetEngine engine, std::optional<StateStore> store,
                std::unique_ptr<DurableFs> owned_fs,
                const DurableOptions& durable);
 
   /// Journals one engine call that succeeded: appends `record`, syncs
-  /// and rotates per the options.
+  /// and rotates per the options. Callers skip it in memory.
   Status Commit(const std::string& record);
 
+  /// InvalidArgument when a journal is open (it cannot record member
+  /// options); Ok in memory.
+  Status CheckUnjournaled() const;
+
   MotifFleetEngine engine_;
-  StateStore store_;
+  /// Empty in memory.
+  std::optional<StateStore> store_;
   /// Set only when DurableOptions::fs was null.
   std::unique_ptr<DurableFs> owned_fs_;
 

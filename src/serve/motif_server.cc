@@ -179,19 +179,10 @@ StatusOr<MotifServer> MotifServer::Create(const ServeOptions& options,
     return Status::InvalidArgument("max_streams must be >= 1");
   }
 
-  MotifServer server(options, metric);
-  if (options.durable_enabled()) {
-    StatusOr<DurableFleet> fleet =
-        DurableFleet::Open(options.fleet, metric, options.durable);
-    if (!fleet.ok()) return fleet.status();
-    server.durable_.emplace(std::move(fleet).value());
-  } else {
-    StatusOr<MotifFleetEngine> engine =
-        MotifFleetEngine::Create(options.fleet, metric);
-    if (!engine.ok()) return engine.status();
-    server.plain_.emplace(std::move(engine).value());
-  }
-  return server;
+  StatusOr<DurableFleet> fleet =
+      DurableFleet::Open(options.fleet, metric, options.durable);
+  if (!fleet.ok()) return fleet.status();
+  return MotifServer(options, std::move(fleet).value());
 }
 
 MotifServer::Conn* MotifServer::Find(ConnId id) {
@@ -353,12 +344,8 @@ void MotifServer::BeginDrain(std::int64_t now_ms) {
 }
 
 Status MotifServer::Shutdown() {
-  if (durable_.has_value()) {
-    Status checkpoint = durable_->Checkpoint();
-    if (!checkpoint.ok()) return checkpoint;
-    return durable_->Sync();
-  }
-  return Status::Ok();
+  FM_RETURN_IF_ERROR(fleet_.Checkpoint());
+  return fleet_.Sync();
 }
 
 void MotifServer::ProcessBuffer(ConnId id, Conn& c, std::int64_t now_ms) {
@@ -508,37 +495,22 @@ void MotifServer::HandleCommand(ConnId id, Conn& c, const std::string& line,
   }
 }
 
-Status MotifServer::EnsureStreams(std::size_t stream) {
-  while (engine().stream_count() <= stream) {
-    StatusOr<std::size_t> added =
-        durable_.has_value() ? durable_->AddStream() : plain_->AddStream();
-    if (!added.ok()) return added.status();
-  }
-  return Status::Ok();
-}
-
-StatusOr<FleetReport> MotifServer::EngineIngest(
-    const std::vector<FleetArrival>& batch) {
-  return durable_.has_value() ? durable_->Ingest(batch)
-                              : plain_->Ingest(batch);
-}
-
 void MotifServer::FlushIngest(ConnId id, Conn& c,
                               std::vector<FleetArrival>* batch,
                               std::int64_t now_ms) {
   if (batch->empty()) return;
-  std::size_t max_stream = 0;
+  std::size_t streams = engine().stream_count();
   for (const FleetArrival& a : *batch) {
-    max_stream = std::max(max_stream, a.stream);
+    streams = std::max(streams, a.stream + 1);
   }
-  Status streams = EnsureStreams(max_stream);
-  if (!streams.ok()) {
-    ++stats_.engine_errors;
-    QueueError(id, c, "engine", streams.message(), now_ms);
-    batch->clear();
-    return;
+  // Check before registering: a rejected batch adds (and journals) no
+  // stream.
+  Status ready = engine().CheckBatch(*batch, streams);
+  while (ready.ok() && engine().stream_count() < streams) {
+    ready = fleet_.AddStream().status();
   }
-  StatusOr<FleetReport> report = EngineIngest(*batch);
+  StatusOr<FleetReport> report =
+      ready.ok() ? fleet_.Ingest(*batch) : StatusOr<FleetReport>(ready);
   if (!report.ok()) {
     // The batch is not acknowledged: the engine rejected it (e.g.
     // mixing bare and timestamped arrivals mid-reorder). The server

@@ -47,7 +47,7 @@
 ///  * **Graceful drain.** `BeginDrain` stops accepting, queues `bye`
 ///    frames, and flushes each queue until empty or
 ///    `drain_grace_ms` passes; `Shutdown` then checkpoints through
-///    `DurableFleet` when a state dir is configured.
+///    the `DurableFleet` (a no-op when it runs in memory).
 ///
 /// The report stream a surviving subscriber observes is bit-identical
 /// to a batch oracle (`MotifFleetEngine` fed the same released points)
@@ -58,8 +58,8 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "durable/durable_fleet.h"
@@ -112,7 +112,7 @@ struct ServeOptions {
   FleetOptions fleet;
   ServeLimits limits;
 
-  /// Durability: empty state_dir = plain in-memory engine; otherwise
+  /// Durability: empty state_dir = the fleet runs in memory; otherwise
   /// every ingest is journaled and `Shutdown` checkpoints (see
   /// durable/durable_fleet.h).
   DurableOptions durable;
@@ -207,14 +207,12 @@ class MotifServer {
 
   const ServeStats& stats() const { return stats_; }
   FleetStats fleet_stats() const;
-  const MotifFleetEngine& engine() const {
-    return durable_.has_value() ? durable_->engine() : *plain_;
-  }
+  const MotifFleetEngine& engine() const { return fleet_.engine(); }
   const ServeOptions& options() const { return options_; }
   /// The durable layer (recovery info, generation); null when the
-  /// server runs the plain in-memory engine.
+  /// fleet runs in memory.
   const DurableFleet* durable() const {
-    return durable_.has_value() ? &*durable_ : nullptr;
+    return options_.durable_enabled() ? &fleet_ : nullptr;
   }
   /// Frames dropped on one connection (drop-oldest casualties).
   std::int64_t ConnDroppedFrames(ConnId id) const;
@@ -250,8 +248,8 @@ class MotifServer {
     std::int64_t close_deadline_ms = 0;
   };
 
-  MotifServer(const ServeOptions& options, const GroundMetric& metric)
-      : options_(options), metric_(&metric) {}
+  MotifServer(const ServeOptions& options, DurableFleet fleet)
+      : options_(options), fleet_(std::move(fleet)) {}
 
   Conn* Find(ConnId id);
 
@@ -262,13 +260,11 @@ class MotifServer {
                   std::vector<FleetArrival>* batch, std::int64_t now_ms);
   void HandleCommand(ConnId id, Conn& c, const std::string& line,
                      std::int64_t now_ms);
-  /// Runs one engine Ingest over the batch and broadcasts its report.
+  /// Checks the batch, registers the streams it names, runs one fleet
+  /// Ingest over it and broadcasts its report. A rejected batch
+  /// registers no stream.
   void FlushIngest(ConnId id, Conn& c, std::vector<FleetArrival>* batch,
                    std::int64_t now_ms);
-
-  /// Engine dispatch (durable vs. plain).
-  StatusOr<FleetReport> EngineIngest(const std::vector<FleetArrival>& batch);
-  Status EnsureStreams(std::size_t stream);
 
   void Broadcast(const FleetReport& report, std::int64_t now_ms);
   void Enqueue(ConnId id, Conn& c, std::string frame, bool droppable,
@@ -286,11 +282,7 @@ class MotifServer {
   std::string StatsFrame() const;
 
   ServeOptions options_;
-  const GroundMetric* metric_;
-
-  /// Exactly one of these is engaged (durable when state_dir is set).
-  std::optional<MotifFleetEngine> plain_;
-  std::optional<DurableFleet> durable_;
+  DurableFleet fleet_;
 
   std::map<ConnId, Conn> conns_;
   ConnId next_id_ = 1;

@@ -77,14 +77,6 @@ StatusOr<std::pair<std::size_t, std::size_t>> MotifFleetEngine::AddCrossPair(
   return std::make_pair(primary, primary + 1);
 }
 
-Status MotifFleetEngine::CheckStream(std::size_t stream) const {
-  if (stream >= stream_map_.size()) {
-    return Status::InvalidArgument("unknown fleet stream id " +
-                                   std::to_string(stream));
-  }
-  return Status::Ok();
-}
-
 Status MotifFleetEngine::Deliver(std::size_t stream, const Point& p,
                                  const double* timestamp,
                                  FleetReport* report) {
@@ -214,6 +206,7 @@ Status MotifFleetEngine::DrainInternal(FleetReport* report) {
 }
 
 std::optional<bool> MotifFleetEngine::StreamTimed(std::size_t stream) const {
+  if (stream >= stream_map_.size()) return std::nullopt;
   const StreamRef& ref = stream_map_[stream];
   if (window_size(stream) > 0) {
     return windows_[ref.member].timestamped(ref.side);
@@ -222,19 +215,22 @@ std::optional<bool> MotifFleetEngine::StreamTimed(std::size_t stream) const {
   return std::nullopt;
 }
 
-Status MotifFleetEngine::CheckBatch(
-    const std::vector<FleetArrival>& batch) const {
+Status MotifFleetEngine::CheckBatch(const std::vector<FleetArrival>& batch,
+                                    std::size_t stream_limit) const {
   // First-arrival mode (-1 none yet, else 0 bare / 1 timed) of the
   // streams whose mode is not yet established; sized only when this
   // batch opens one.
   std::vector<signed char> opened;
   for (const FleetArrival& arrival : batch) {
-    FM_RETURN_IF_ERROR(CheckStream(arrival.stream));
+    if (arrival.stream >= stream_limit) {
+      return Status::InvalidArgument("unknown fleet stream id " +
+                                     std::to_string(arrival.stream));
+    }
     FM_RETURN_IF_ERROR(ValidateArrival(
         arrival.point, arrival.has_timestamp ? &arrival.timestamp : nullptr));
     std::optional<bool> timed = StreamTimed(arrival.stream);
     if (!timed.has_value()) {
-      if (opened.empty()) opened.assign(stream_map_.size(), -1);
+      if (opened.empty()) opened.assign(stream_limit, -1);
       signed char& first = opened[arrival.stream];
       if (first < 0) first = arrival.has_timestamp ? 1 : 0;
       timed = first == 1;
@@ -250,7 +246,7 @@ Status MotifFleetEngine::CheckBatch(
 
 StatusOr<FleetReport> MotifFleetEngine::Ingest(
     const std::vector<FleetArrival>& batch) {
-  FM_RETURN_IF_ERROR(CheckBatch(batch));
+  FM_RETURN_IF_ERROR(CheckBatch(batch, stream_count()));
   FleetReport report;
   // One sink for the whole batch (a std::function per point would heap-
   // allocate on the hot arrival loop); the captured stream id is advanced

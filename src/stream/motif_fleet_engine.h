@@ -212,13 +212,18 @@ class MotifFleetEngine {
   /// guarantees. The batch passes CheckBatch before anything is applied.
   StatusOr<FleetReport> Ingest(const std::vector<FleetArrival>& batch);
 
-  /// InvalidArgument unless every arrival names a known stream, passes
-  /// ValidateArrival, and keeps its stream's mode (timed or bare): the
-  /// mode its window side holds, else timed while its reorder buffer
-  /// holds a point, else the mode of the stream's first arrival in this
-  /// batch. Changes nothing, so an ingest path that runs it first leaves
-  /// no partial batch behind a bad arrival.
-  Status CheckBatch(const std::vector<FleetArrival>& batch) const;
+  /// InvalidArgument unless every arrival names a stream id below
+  /// `stream_limit`, passes ValidateArrival, and keeps its stream's mode
+  /// (timed or bare): the mode its window side holds, else timed while
+  /// its reorder buffer holds a point, else the mode of the stream's
+  /// first arrival in this batch. Ids from stream_count() up to the
+  /// limit are streams the caller will register (default options)
+  /// before ingesting, so they hold no mode yet; Ingest passes
+  /// stream_count(). Changes nothing, so a caller that runs it first
+  /// registers no stream and leaves no partial batch behind a bad
+  /// arrival.
+  Status CheckBatch(const std::vector<FleetArrival>& batch,
+                    std::size_t stream_limit) const;
 
   /// Single-arrival conveniences (one-element Ingest).
   StatusOr<FleetReport> Push(std::size_t stream, const Point& p);
@@ -307,11 +312,9 @@ class MotifFleetEngine {
 
   MotifFleetEngine(const FleetOptions& options, const GroundMetric& metric);
 
-  Status CheckStream(std::size_t stream) const;
-
   /// The mode `stream`'s arrivals are held to: its window side's once
   /// that side holds a point, else timed while its reorder buffer holds
-  /// one, else unset.
+  /// one, else unset (also for an id not registered yet).
   std::optional<bool> StreamTimed(std::size_t stream) const;
 
   /// Shared tail of the AddStream/AddCrossPair overloads: creates the

@@ -15,6 +15,7 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "gtest/gtest.h"
 
@@ -304,26 +305,40 @@ TEST(CliStream, InvalidWindowIsRuntimeError) {
 TEST(CliStream, DurableRunMatchesPlainRunAndRecoversOnRestart) {
   const std::string path =
       WriteTrace("dur.csv", "--kind=geolife --n=160 --seed=11");
-  const std::string state = TempPath("dur_state");
-  RunShell("rm -rf " + state);
+  // The same trace with one timestamp stepping backwards (data row 79).
+  const std::string back = TempPath("dur_back.csv");
+  const CommandResult edited =
+      RunShell("awk -F, -v OFS=, 'NR == 80 { $3 = 1 } { print }' " + path +
+               " > " + back);
+  ASSERT_EQ(0, edited.exit_code) << edited.output;
   const std::string args = " --window=60 --slide=30 --xi=8";
 
-  const CommandResult plain = RunFmotif("stream " + path + args);
-  ASSERT_EQ(0, plain.exit_code) << plain.output;
-  // A fresh durable run emits bit-identical per-slide reports and the
-  // same summary (the journal and snapshots are pure bookkeeping).
-  const CommandResult durable =
-      RunFmotif("stream " + path + args + " --state-dir=" + state);
-  ASSERT_EQ(0, durable.exit_code) << durable.output;
-  EXPECT_EQ(plain.output, durable.output);
+  for (const std::string& input : {path, back}) {
+    SCOPED_TRACE(input);
+    const std::string state = TempPath("dur_state");
+    RunShell("rm -rf " + state);
+    const CommandResult plain = RunFmotif("stream " + input + args);
+    ASSERT_EQ(0, plain.exit_code) << plain.output;
+    // A fresh durable run emits bit-identical per-slide reports and the
+    // same summary (the journal and snapshots are pure bookkeeping).
+    const CommandResult durable =
+        RunFmotif("stream " + input + args + " --state-dir=" + state);
+    ASSERT_EQ(0, durable.exit_code) << durable.output;
+    EXPECT_EQ(plain.output, durable.output);
+    // Both drop the backwards stamp as late.
+    const std::string points = input == back ? "159 points" : "160 points";
+    EXPECT_NE(std::string::npos, plain.output.find(points)) << plain.output;
 
-  // A restart over the same state directory recovers instead of starting
-  // cold: snapshot restored, journal tail replayed, stream re-registered.
-  const CommandResult resumed =
-      RunFmotif("stream " + path + args + " --state-dir=" + state);
-  ASSERT_EQ(0, resumed.exit_code) << resumed.output;
-  EXPECT_NE(std::string::npos, resumed.output.find("recovered: snapshot=yes"))
-      << resumed.output;
+    // A restart over the same state directory recovers instead of
+    // starting cold: snapshot restored, journal tail replayed, stream
+    // re-registered.
+    const CommandResult resumed =
+        RunFmotif("stream " + input + args + " --state-dir=" + state);
+    ASSERT_EQ(0, resumed.exit_code) << resumed.output;
+    EXPECT_NE(std::string::npos,
+              resumed.output.find("recovered: snapshot=yes"))
+        << resumed.output;
+  }
 }
 
 TEST(CliStream, NanTimestampFailsTheSameWithOrWithoutStateDir) {
@@ -487,6 +502,55 @@ TEST(CliFleet, NonNumericOrHugeStreamIdIsRejectedNotCast) {
     EXPECT_EQ(1, exit_code) << bad << ": " << output;
     EXPECT_NE(std::string::npos, output.find("malformed fleet row 2")) << bad;
   }
+}
+
+TEST(CliFleet, MalformedMembersSpecIsRejected) {
+  const std::string a = WriteTrace("mm.csv", "--kind=geolife --n=60 --seed=3");
+  const std::pair<const char*, const char*> cases[] = {
+      {"q", "member spec must start with 's' or 'x'"},
+      {"s:", "expected s[:eps] or x[:eps]"},
+      {"s:-1", "malformed eps"}};
+  for (const auto& [spec, message] : cases) {
+    const CommandResult r =
+        RunFmotif("fleet " + a + " --xi=6 --members=" + spec);
+    EXPECT_EQ(1, r.exit_code) << spec << ": " << r.output;
+    EXPECT_NE(std::string::npos, r.output.find(message)) << r.output;
+  }
+}
+
+TEST(CliFleet, MembersDeclareSingleAndCrossMembers) {
+  // `s,x`: stream 0 is a sliding window, streams 1 and 2 the two sides of
+  // one cross pair, which reports under its first id.
+  const std::string a = WriteTrace("ma.csv", "--kind=geolife --n=120 --seed=3");
+  const std::string b = WriteTrace("mb.csv", "--kind=truck --n=120 --seed=4");
+  const std::string c = WriteTrace("mc.csv", "--kind=geolife --n=120 --seed=5");
+  const CommandResult r = RunFmotif("fleet " + a + " " + b + " " + c +
+                                    " --window=50 --slide=10 --xi=6 "
+                                    "--members=s,x --json");
+  ASSERT_EQ(0, r.exit_code) << r.output;
+  EXPECT_NE(std::string::npos, r.output.find("\"stream\": 0")) << r.output;
+  EXPECT_NE(std::string::npos, r.output.find("\"stream\": 1")) << r.output;
+  EXPECT_EQ(std::string::npos, r.output.find("\"stream\": 2")) << r.output;
+  EXPECT_NE(std::string::npos, r.output.find("\"streams\": 3")) << r.output;
+  EXPECT_NE(std::string::npos, r.output.find("\"members\": 2")) << r.output;
+}
+
+TEST(CliFleet, MembersWithStateDirIsRefusedAndJournalsNothing) {
+  const std::string a = WriteTrace("md.csv", "--kind=geolife --n=60 --seed=3");
+  const std::string state = TempPath("members_state");
+  RunShell("rm -rf " + state);
+  const CommandResult r = RunFmotif("fleet " + a +
+                                    " --xi=6 --members=s --state-dir=" + state);
+  EXPECT_EQ(1, r.exit_code) << r.output;
+  EXPECT_NE(std::string::npos, r.output.find("cannot be journaled"))
+      << r.output;
+  // Reopening the state directory finds no journal record and no stream.
+  const CommandResult reopened =
+      RunFmotif("fleet - --xi=6 --state-dir=" + state + " < /dev/null");
+  ASSERT_EQ(0, reopened.exit_code) << reopened.output;
+  EXPECT_NE(std::string::npos,
+            reopened.output.find("replayed 0 journal records, 0 streams"))
+      << reopened.output;
 }
 
 TEST(CliFleet, BudgetCapsSearchesAndCountsCoalescedSlides) {

@@ -546,6 +546,79 @@ TEST(DurableFleet, ReorderedFeedRecoversBufferAndWatermark) {
             EngineBytes(reopened.value().engine()));
 }
 
+TEST(DurableFleet, EmptyStateDirRunsInMemoryAsThePlainEngine) {
+  FleetOptions options;
+  options.stream = SmallStreamOptions();
+  options.reorder_capacity = 2;
+  const EuclideanMetric metric;
+  FaultFs fs(14);
+  DurableOptions durable;
+  durable.fs = &fs;
+
+  auto fleet = DurableFleet::Open(options, metric, durable);
+  ASSERT_TRUE(fleet.ok()) << fleet.status();
+  auto plain = MotifFleetEngine::Create(options, metric);
+  ASSERT_TRUE(plain.ok());
+  StreamOptions relaxed = options.stream;
+  relaxed.approximation_epsilon = 0.1;
+  // Per-member options are accepted in memory.
+  ASSERT_TRUE(fleet.value().AddStream().ok());
+  ASSERT_TRUE(fleet.value().AddStream(relaxed).ok());
+  ASSERT_TRUE(fleet.value().AddCrossPair(relaxed).ok());
+  ASSERT_TRUE(plain.value().AddStream().ok());
+  ASSERT_TRUE(plain.value().AddStream(relaxed).ok());
+  ASSERT_TRUE(plain.value().AddCrossPair(relaxed).ok());
+  const Trajectory t = testing_util::MakePlanarWalk(60, 8804);
+  for (Index k = 0; k < t.size(); ++k) {
+    std::vector<FleetArrival> batch;
+    for (std::size_t s = 0; s < 4; ++s) {
+      // Adjacent stamps swapped: reordered within capacity.
+      batch.push_back({s, t[k], true, static_cast<double>(k ^ 1)});
+    }
+    ASSERT_TRUE(fleet.value().Ingest(batch).ok());
+    ASSERT_TRUE(plain.value().Ingest(batch).ok());
+  }
+  ASSERT_TRUE(fleet.value().Flush().ok());
+  ASSERT_TRUE(plain.value().Flush().ok());
+  ASSERT_TRUE(fleet.value().Checkpoint().ok());
+  ASSERT_TRUE(fleet.value().Sync().ok());
+
+  EXPECT_GT(fleet.value().stats().reordered, 0);
+  EXPECT_EQ(EngineBytes(plain.value()), EngineBytes(fleet.value().engine()));
+  EXPECT_EQ(0u, fleet.value().generation());
+  EXPECT_FALSE(fleet.value().recovery().restored_snapshot);
+  EXPECT_EQ(0u, fleet.value().recovery().replayed_records);
+  EXPECT_EQ(0, fs.op_count());  // no filesystem work at all
+}
+
+TEST(DurableFleet, MemberOptionsAreRefusedWithAJournal) {
+  FleetOptions options;
+  options.stream = SmallStreamOptions();
+  const EuclideanMetric metric;
+  FaultFs fs(15);
+  DurableOptions durable;
+  durable.state_dir = "state";
+  durable.fs = &fs;
+  {
+    auto fleet = DurableFleet::Open(options, metric, durable);
+    ASSERT_TRUE(fleet.ok()) << fleet.status();
+    const std::string before = EngineBytes(fleet.value().engine());
+    const std::int64_t ops = fs.op_count();
+    EXPECT_EQ(StatusCode::kInvalidArgument,
+              fleet.value().AddStream(options.stream).status().code());
+    EXPECT_EQ(StatusCode::kInvalidArgument,
+              fleet.value().AddCrossPair(options.stream).status().code());
+    EXPECT_EQ(0u, fleet.value().stream_count());
+    EXPECT_EQ(before, EngineBytes(fleet.value().engine()));
+    EXPECT_EQ(ops, fs.op_count());
+  }
+  fs.Restart();
+  auto reopened = DurableFleet::Open(options, metric, durable);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(0u, reopened.value().recovery().replayed_records);
+  EXPECT_EQ(0u, reopened.value().stream_count());
+}
+
 TEST(DurableFleet, RetiredReleasedBatchRecordIsRefused) {
   FleetOptions options;
   options.stream = SmallStreamOptions();

@@ -175,6 +175,48 @@ TEST(Serve, MultiStreamRowsAutoRegisterStreams) {
   EXPECT_EQ(2, server.stats().points_ingested);
 }
 
+TEST(Serve, RejectedBatchRegistersNoStream) {
+  // A batch naming a new stream id but rejected by the engine (here: a
+  // bare row on a timed stream) must not register that id, on a plain
+  // or a durable server, nor journal it.
+  testing_util::FaultFs fs(22);
+  ServeOptions durable_options = SmallOptions();
+  durable_options.durable.state_dir = "state";
+  durable_options.durable.fs = &fs;
+  for (const ServeOptions& options : {SmallOptions(), durable_options}) {
+    SCOPED_TRACE(options.durable.state_dir);
+    std::string before;
+    {
+      MotifServer server = MakeServer(options);
+      FaultConn conn;
+      const MotifServer::ConnId id = server.OnAccept(conn.NewSocket(), 0);
+      conn.Feed("0,39.9,116.3,1\n");
+      server.OnReadable(id, 0);
+      conn.TakeOutput();
+      ASSERT_TRUE(server.engine().Snapshot(&before).ok());
+
+      conn.Feed("0,39.9,116.31\n7,39.9,116.3,2\n");
+      server.OnReadable(id, 0);
+      const std::vector<std::string> errors =
+          FramesOfType(conn.TakeOutput(), "error");
+      ASSERT_EQ(1u, errors.size());
+      EXPECT_NE(std::string::npos, errors[0].find("\"engine\""));
+      EXPECT_EQ(1, server.fleet_stats().streams);
+      std::string after;
+      ASSERT_TRUE(server.engine().Snapshot(&after).ok());
+      EXPECT_TRUE(before == after);
+    }
+    if (options.durable_enabled()) {
+      fs.Restart();
+      MotifServer recovered = MakeServer(options);
+      EXPECT_EQ(1, recovered.fleet_stats().streams);
+      std::string bytes;
+      ASSERT_TRUE(recovered.engine().Snapshot(&bytes).ok());
+      EXPECT_TRUE(before == bytes);
+    }
+  }
+}
+
 TEST(Serve, StatsSeesRowsFedEarlierOnTheSameRead) {
   // STATS is a batch boundary: ingest rows fed before it in the same
   // buffer must already be in the engine when the frame renders.

@@ -17,7 +17,6 @@
 #include <fstream>
 #include <utility>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,7 +34,6 @@
 #include "serve/serve_loop.h"
 #include "serve/serve_socket.h"
 #include "stream/motif_fleet_engine.h"
-#include "stream/streaming_motif_monitor.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/numeric.h"
@@ -152,6 +150,12 @@ int CommandUsage(std::FILE* stream, const std::string& command) {
         "final\n"
         "summary document go to stdout.\n"
         "\n"
+        "Timestamps must not go backwards: a point stamped earlier than "
+        "the\n"
+        "latest point kept is dropped and counted (`late_dropped` in the "
+        "--json\n"
+        "summary).\n"
+        "\n"
         "--state-dir=DIR makes the run durable: engine state is "
         "checkpointed\n"
         "and journaled there (rotating a snapshot every --checkpoint=N\n"
@@ -198,8 +202,9 @@ int CommandUsage(std::FILE* stream, const std::string& command) {
         "member — e.g. --members=s,x:0.05,s:0.1. Rows (or files) feed "
         "stream\n"
         "ids in declaration order; ids past the declared set add default\n"
-        "streams on the fly. Requires the in-memory engine (no "
-        "--state-dir).\n"
+        "streams on the fly. The fleet refuses it with --state-dir (the "
+        "journal\n"
+        "records no member options).\n"
         "\n"
         "--state-dir=DIR journals every engine call and rotates "
         "snapshots\n"
@@ -642,53 +647,33 @@ int RunStream(const fm::Flags& flags) {
   options.threads = Threads(flags);
   options.approximation_epsilon = ApproxEps(flags);
 
-  // --state-dir routes the single stream through a one-stream
-  // DurableFleet (journal + snapshots + recovery); otherwise the plain
-  // in-memory monitor runs. Reports are bit-identical either way.
+  // One-stream fleet: in memory, or journaled and recovered under
+  // --state-dir. Reports are bit-identical either way.
   const fm::DurableOptions durable = DurableConfig(flags);
-  std::optional<fm::StreamingMotifMonitor> monitor;
-  std::optional<fm::DurableFleet> fleet;
-  if (durable.state_dir.empty()) {
-    fm::StatusOr<fm::StreamingMotifMonitor> created =
-        fm::StreamingMotifMonitor::Create(options, Metric(flags));
-    if (!created.ok()) return Fail(created.status());
-    monitor.emplace(std::move(created).value());
-  } else {
-    fm::FleetOptions fleet_options;
-    fleet_options.stream = options;
-    fm::StatusOr<fm::DurableFleet> opened =
-        fm::DurableFleet::Open(fleet_options, Metric(flags), durable);
-    if (!opened.ok()) return Fail(opened.status());
-    fleet.emplace(std::move(opened).value());
-    PrintRecoveryNote(*fleet);
-    if (fleet->stream_count() == 0) {
-      const fm::StatusOr<std::size_t> added = fleet->AddStream();
-      if (!added.ok()) return Fail(added.status());
-    }
+  fm::FleetOptions fleet_options;
+  fleet_options.stream = options;
+  fm::StatusOr<fm::DurableFleet> opened =
+      fm::DurableFleet::Open(fleet_options, Metric(flags), durable);
+  if (!opened.ok()) return Fail(opened.status());
+  fm::DurableFleet& fleet = opened.value();
+  PrintRecoveryNote(fleet);
+  if (fleet.stream_count() == 0) {
+    const fm::StatusOr<std::size_t> added = fleet.AddStream();
+    if (!added.ok()) return Fail(added.status());
   }
 
   std::int64_t slides = 0;
-  const auto emit = [&](const fm::StreamUpdate& u) {
-    ++slides;
-    if (json) {
-      PrintStreamUpdateJson(u);
-    } else {
-      PrintStreamUpdateText(u);
-    }
-  };
   const auto push = [&](const fm::Point& p, const double* ts) -> fm::Status {
-    if (monitor.has_value()) {
-      fm::StatusOr<std::optional<fm::StreamUpdate>> update =
-          ts != nullptr ? monitor->Push(p, *ts) : monitor->Push(p);
-      if (!update.ok()) return update.status();
-      if (update.value().has_value()) emit(*update.value());
-      return fm::Status::Ok();
-    }
     fm::StatusOr<fm::FleetReport> report =
-        ts != nullptr ? fleet->Push(0, p, *ts) : fleet->Push(0, p);
+        ts != nullptr ? fleet.Push(0, p, *ts) : fleet.Push(0, p);
     if (!report.ok()) return report.status();
     for (const fm::FleetStreamUpdate& fu : report.value().updates) {
-      emit(fu.update);
+      ++slides;
+      if (json) {
+        PrintStreamUpdateJson(fu.update);
+      } else {
+        PrintStreamUpdateText(fu.update);
+      }
     }
     return fm::Status::Ok();
   };
@@ -744,33 +729,17 @@ int RunStream(const fm::Flags& flags) {
     }
   }
 
-  if (fleet.has_value()) {
-    // End of feed (or interrupt): release any reorder-buffered points,
-    // then force the journal tail to stable storage — the operator must
-    // never lose an already-reported window to an interrupt.
-    fm::StatusOr<fm::FleetReport> flushed = fleet->Flush();
-    if (!flushed.ok()) return Fail(flushed.status());
-    for (const fm::FleetStreamUpdate& fu : flushed.value().updates) {
-      emit(fu.update);
-    }
-    const fm::Status synced = fleet->Sync();
-    if (!synced.ok()) return Fail(synced);
-  }
+  // End of feed (or interrupt): force the journal tail to stable
+  // storage — the operator must never lose an already-reported window to
+  // an interrupt. Nothing needs flushing: without a reorder buffer every
+  // point was released on arrival.
+  const fm::Status synced = fleet.Sync();
+  if (!synced.ok()) return Fail(synced);
   if (g_interrupted) {
     std::fprintf(stderr, "interrupted: flushing summary\n");
   }
 
-  fm::StreamEngineStats engine;
-  if (monitor.has_value()) {
-    engine = monitor->engine_stats();
-  } else {
-    const fm::FleetStats stats = fleet->stats();
-    engine.points_ingested = stats.points_ingested;
-    engine.searches = stats.searches;
-    engine.seeded_searches = stats.seeded_searches;
-    engine.ground_distances_computed = stats.ground_distances_computed;
-    engine.dfd_cells_computed = stats.dfd_cells_computed;
-  }
+  const fm::FleetStats stats = fleet.stats();
   if (json) {
     fm::JsonWriter w;
     w.BeginObject();
@@ -794,38 +763,32 @@ int RunStream(const fm::Flags& flags) {
     w.Int(options.threads);
     w.EndObject();
     w.Key("points_ingested");
-    w.Int(engine.points_ingested);
+    w.Int(stats.points_ingested);
     w.Key("slides");
     w.Int(slides);
     w.Key("seeded_searches");
-    w.Int(engine.seeded_searches);
+    w.Int(stats.seeded_searches);
     w.Key("ground_distances_computed");
-    w.Int(engine.ground_distances_computed);
+    w.Int(stats.ground_distances_computed);
     w.Key("dfd_cells_computed");
-    w.Int(engine.dfd_cells_computed);
-    // Optional keys only: the default schema (and its goldens) is
-    // unchanged unless the run was durable or interrupted.
-    if (fleet.has_value()) {
-      // The durable path routes through an IngestFrontend, so its
-      // late-arrival and reorder-occupancy counters are observable here
-      // (the plain monitor path has no reorder stage).
-      const fm::FleetStats fleet_stats = fleet->stats();
-      w.Key("reordered");
-      w.Int(fleet_stats.reordered);
-      w.Key("late_dropped");
-      w.Int(fleet_stats.late_dropped);
-      w.Key("reorder_buffered_peak");
-      w.Int(fleet_stats.reorder_buffered_peak);
+    w.Int(stats.dfd_cells_computed);
+    w.Key("reordered");
+    w.Int(stats.reordered);
+    w.Key("late_dropped");
+    w.Int(stats.late_dropped);
+    w.Key("reorder_buffered_peak");
+    w.Int(stats.reorder_buffered_peak);
+    if (!durable.state_dir.empty()) {
       w.Key("durable");
       w.BeginObject();
       w.Key("state_dir");
       w.String(durable.state_dir);
       w.Key("generation");
-      w.Int(static_cast<std::int64_t>(fleet->generation()));
+      w.Int(static_cast<std::int64_t>(fleet.generation()));
       w.Key("restored_snapshot");
-      w.Bool(fleet->recovery().restored_snapshot);
+      w.Bool(fleet.recovery().restored_snapshot);
       w.Key("replayed_records");
-      w.Int(static_cast<std::int64_t>(fleet->recovery().replayed_records));
+      w.Int(static_cast<std::int64_t>(fleet.recovery().replayed_records));
       w.EndObject();
     }
     if (g_interrupted) {
@@ -838,11 +801,11 @@ int RunStream(const fm::Flags& flags) {
     std::printf(
         "%lld points, %lld slides (%lld seeded), %lld ground distances, "
         "%lld DFD cells\n",
-        static_cast<long long>(engine.points_ingested),
+        static_cast<long long>(stats.points_ingested),
         static_cast<long long>(slides),
-        static_cast<long long>(engine.seeded_searches),
-        static_cast<long long>(engine.ground_distances_computed),
-        static_cast<long long>(engine.dfd_cells_computed));
+        static_cast<long long>(stats.seeded_searches),
+        static_cast<long long>(stats.ground_distances_computed),
+        static_cast<long long>(stats.dfd_cells_computed));
   }
   return kExitOk;
 }
@@ -1016,61 +979,29 @@ int RunFleet(const fm::Flags& flags) {
   options.max_searches_per_drain =
       static_cast<int>(flags.GetInt("budget", 0));
 
-  // --state-dir swaps the in-memory engine for a DurableFleet; every
-  // mutation below goes through the dispatch lambdas so both paths share
-  // one ingest loop.
-  const fm::DurableOptions durable_config = DurableConfig(flags);
-  std::optional<fm::MotifFleetEngine> plain;
-  std::optional<fm::DurableFleet> durable;
-  if (durable_config.state_dir.empty()) {
-    fm::StatusOr<fm::MotifFleetEngine> created =
-        fm::MotifFleetEngine::Create(options, Metric(flags));
-    if (!created.ok()) return Fail(created.status());
-    plain.emplace(std::move(created).value());
-  } else {
-    fm::StatusOr<fm::DurableFleet> opened =
-        fm::DurableFleet::Open(options, Metric(flags), durable_config);
-    if (!opened.ok()) return Fail(opened.status());
-    durable.emplace(std::move(opened).value());
-    PrintRecoveryNote(*durable);
-  }
-  const fm::MotifFleetEngine& view =
-      durable.has_value() ? durable->engine() : *plain;
-  const auto add_stream = [&]() -> fm::StatusOr<std::size_t> {
-    return durable.has_value() ? durable->AddStream() : plain->AddStream();
-  };
-  const auto ingest =
-      [&](const std::vector<fm::FleetArrival>& batch)
-      -> fm::StatusOr<fm::FleetReport> {
-    return durable.has_value() ? durable->Ingest(batch)
-                               : plain->Ingest(batch);
-  };
-
   // --members pre-registers a heterogeneous fleet (per-member ε, cross
-  // pairs). The durable journal only replays default single-stream
-  // AddStream records, so the flag requires the in-memory engine.
+  // pairs); the fleet refuses it under --state-dir.
+  std::vector<FleetMemberSpec> members;
   const std::string members_spec = flags.GetString("members", "");
   if (!members_spec.empty()) {
-    if (durable.has_value()) {
-      return Fail(fm::Status::InvalidArgument(
-          "--members requires the in-memory engine (drop --state-dir)"));
-    }
-    fm::StatusOr<std::vector<FleetMemberSpec>> members =
+    fm::StatusOr<std::vector<FleetMemberSpec>> parsed =
         ParseFleetMembers(members_spec);
-    if (!members.ok()) return Fail(members.status());
-    for (const FleetMemberSpec& m : members.value()) {
-      fm::StreamOptions member_options = options.stream;
-      if (m.has_eps) member_options.approximation_epsilon = m.eps;
-      if (m.cross) {
-        const fm::StatusOr<std::pair<std::size_t, std::size_t>> added =
-            plain->AddCrossPair(member_options);
-        if (!added.ok()) return Fail(added.status());
-      } else {
-        const fm::StatusOr<std::size_t> added =
-            plain->AddStream(member_options);
-        if (!added.ok()) return Fail(added.status());
-      }
-    }
+    if (!parsed.ok()) return Fail(parsed.status());
+    members = std::move(parsed).value();
+  }
+
+  fm::StatusOr<fm::DurableFleet> opened =
+      fm::DurableFleet::Open(options, Metric(flags), DurableConfig(flags));
+  if (!opened.ok()) return Fail(opened.status());
+  fm::DurableFleet& fleet = opened.value();
+  PrintRecoveryNote(fleet);
+  for (const FleetMemberSpec& m : members) {
+    fm::StreamOptions member_options = options.stream;
+    if (m.has_eps) member_options.approximation_epsilon = m.eps;
+    const fm::Status added =
+        m.cross ? fleet.AddCrossPair(member_options).status()
+                : fleet.AddStream(member_options).status();
+    if (!added.ok()) return Fail(added);
   }
 
   std::int64_t slides = 0;
@@ -1106,16 +1037,22 @@ int RunFleet(const fm::Flags& flags) {
         return Fail(fm::Status::InvalidArgument(
             "fleet stream id out of range on row " + std::to_string(line_no)));
       }
-      while (stream >= view.stream_count()) {
-        const fm::StatusOr<std::size_t> added = add_stream();
-        if (!added.ok()) return Fail(added.status());
-      }
       fm::FleetArrival arrival;
       arrival.stream = stream;
       arrival.point = fm::LatLon(lat, lon);
       arrival.has_timestamp = has_ts;
       arrival.timestamp = has_ts ? ts : 0.0;
-      fm::StatusOr<fm::FleetReport> report = ingest({arrival});
+      // Check before registering: a rejected row adds (and journals) no
+      // stream.
+      const std::vector<fm::FleetArrival> batch = {arrival};
+      const fm::Status checked = fleet.engine().CheckBatch(
+          batch, std::max(fleet.stream_count(), stream + 1));
+      if (!checked.ok()) return Fail(checked);
+      while (stream >= fleet.stream_count()) {
+        const fm::StatusOr<std::size_t> added = fleet.AddStream();
+        if (!added.ok()) return Fail(added.status());
+      }
+      fm::StatusOr<fm::FleetReport> report = fleet.Ingest(batch);
       if (!report.ok()) return Fail(report.status());
       PrintFleetReport(report.value(), json, &slides);
     }
@@ -1127,8 +1064,8 @@ int RunFleet(const fm::Flags& flags) {
     for (std::size_t k = 1; k < flags.positional().size(); ++k) {
       fm::StatusOr<fm::Trajectory> t = Load(flags.positional()[k], flags);
       if (!t.ok()) return Fail(t.status());
-      while (view.stream_count() < k) {
-        const fm::StatusOr<std::size_t> added = add_stream();
+      while (fleet.stream_count() < k) {
+        const fm::StatusOr<std::size_t> added = fleet.AddStream();
         if (!added.ok()) return Fail(added.status());
       }
       streams.push_back(std::move(t).value());
@@ -1159,23 +1096,21 @@ int RunFleet(const fm::Flags& flags) {
           batch.push_back(arrival);
         }
       }
-      fm::StatusOr<fm::FleetReport> report = ingest(batch);
+      fm::StatusOr<fm::FleetReport> report = fleet.Ingest(batch);
       if (!report.ok()) return Fail(report.status());
       PrintFleetReport(report.value(), json, &slides);
     }
   }
-  fm::StatusOr<fm::FleetReport> flushed =
-      durable.has_value() ? durable->Flush() : plain->Flush();
+  fm::StatusOr<fm::FleetReport> flushed = fleet.Flush();
   if (!flushed.ok()) return Fail(flushed.status());
   PrintFleetReport(flushed.value(), json, &slides);
-  if (durable.has_value()) {
-    const fm::Status synced = durable->Sync();
-    if (!synced.ok()) return Fail(synced);
-  }
+  const fm::Status synced = fleet.Sync();
+  if (!synced.ok()) return Fail(synced);
   if (g_interrupted) {
     std::fprintf(stderr, "interrupted: flushing summary\n");
   }
 
+  const fm::MotifFleetEngine& view = fleet.engine();
   const fm::FleetStats stats = view.stats();
   const fm::IncrementalJoinStats* join = view.join_stats();
   if (json) {
